@@ -138,11 +138,13 @@ void BM_GpFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GpFit)->Arg(20)->Arg(60)->Arg(80);
 
-ml::Dataset RandomGpData(int n, uint64_t seed) {
+ml::Dataset RandomGpData(int n, uint64_t seed, int dims = 3) {
   common::Rng rng(seed);
   ml::Dataset data;
+  std::vector<double> row(static_cast<size_t>(dims));
   for (int i = 0; i < n; ++i) {
-    data.Add({rng.Uniform(), rng.Uniform(), rng.Uniform()}, rng.Uniform());
+    for (double& v : row) v = rng.Uniform();
+    data.Add(row, rng.Uniform());
   }
   return data;
 }
@@ -187,6 +189,40 @@ void BM_GpLegacyPerObservationRefit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpLegacyPerObservationRefit)->Arg(20)->Arg(80);
+
+// The surrogate's steady state in Centroid Learning: a full window of n rows
+// of d = 4 features (3 knobs + log data size) that slides by one row per
+// observation. BM_GpWindowRefit refits that window over the lengthscale
+// grid, the cost of a slide without the incremental path;
+// BM_GpSlidingUpdate is the rank-1 update + row-append, with the default
+// policy's periodic refits (every 8th update) and drift refits amortized in.
+void BM_GpWindowRefit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const ml::Dataset data = RandomGpData(n, 14, /*dims=*/4);
+  ml::GaussianProcessRegressor gp;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gp.Fit(data).ok());
+  }
+}
+BENCHMARK(BM_GpWindowRefit)->Arg(15);
+
+void BM_GpSlidingUpdate(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const ml::Dataset stream = RandomGpData(1024, 15, /*dims=*/4);
+  ml::GaussianProcessOptions options;
+  options.max_rows = static_cast<size_t>(n);
+  ml::GaussianProcessRegressor gp(options);
+  size_t next = 0;
+  const auto absorb = [&] {
+    const size_t i = next++ % stream.size();
+    return gp.Update(stream.x[i], stream.y[i]).ok();
+  };
+  for (int i = 0; i < 2 * n; ++i) (void)absorb();  // fill, then slide
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(absorb());
+  }
+}
+BENCHMARK(BM_GpSlidingUpdate)->Arg(15);
 
 // One incremental observation absorb at window size n: the O(n^2) Cholesky
 // row-append path that replaces the legacy refit above on the hot path.
@@ -299,6 +335,30 @@ void BM_CentroidLearnerObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentroidLearnerObserve);
+
+// The production tuner's observe loop: the GP surrogate, past the 15-row
+// window, so every observation slides the window (GP update, one shared
+// window-model fit for FIND_BEST and FIND_GRADIENT). Like the benchmark
+// above, each iteration is one Propose plus one Observe.
+void BM_CentroidLearnerObserveSurrogate(benchmark::State& state) {
+  const SyntheticFunction f = SyntheticFunction::Default();
+  const ConfigSpace& space = f.space();
+  CentroidLearningOptions options;
+  CentroidLearner learner(
+      space, space.Defaults(),
+      std::make_unique<SurrogateScorer>(space, nullptr, std::vector<double>{}),
+      options, 9);
+  common::Rng rng(10);
+  for (int t = 0; t < 40; ++t) {
+    const ConfigVector c = learner.Propose(1.0);
+    learner.Observe(c, 1.0, f.Observe(c, 1.0, NoiseParams::Low(), &rng));
+  }
+  for (auto _ : state) {
+    const ConfigVector c = learner.Propose(1.0);
+    learner.Observe(c, 1.0, f.Observe(c, 1.0, NoiseParams::Low(), &rng));
+  }
+}
+BENCHMARK(BM_CentroidLearnerObserveSurrogate);
 
 }  // namespace
 

@@ -106,24 +106,37 @@ void Matrix::AddDiagonal(double value) {
 
 namespace {
 
-// One Cholesky attempt; returns Internal when a pivot is non-positive.
-Result<Matrix> CholeskyAttempt(const Matrix& a) {
-  const size_t n = a.rows();
-  Matrix l(n, n);
+// One Cholesky attempt on the n x n row-major `a` with `eps` added to the
+// diagonal, writing the lower factor into `l` (the strict upper triangle is
+// left untouched). Returns false when a pivot is non-positive. Every column
+// is rewritten before it is read, so a failed attempt can be retried into
+// the same buffer.
+bool CholeskyAttempt(const double* a, size_t n, double eps, double* l) {
   for (size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      return Status::Internal("matrix is not positive definite");
-    }
-    l(j, j) = std::sqrt(diag);
+    double diag = a[j * n + j] + eps;
+    for (size_t k = 0; k < j; ++k) diag -= l[j * n + k] * l[j * n + k];
+    if (diag <= 0.0 || !std::isfinite(diag)) return false;
+    l[j * n + j] = std::sqrt(diag);
     for (size_t i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
-      for (size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      l(i, j) = sum / l(j, j);
+      double sum = a[i * n + j];
+      for (size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
+      l[i * n + j] = sum / l[j * n + j];
     }
   }
-  return l;
+  return true;
+}
+
+// Plain attempt, then (when `jitter` > 0) the diagonal jitter doubled up to
+// 8 times.
+Status CholeskyWithJitter(const double* a, size_t n, double jitter,
+                          double* l) {
+  if (CholeskyAttempt(a, n, 0.0, l)) return Status::OK();
+  double eps = jitter;
+  for (int attempt = 0; jitter > 0.0 && attempt < 8; ++attempt) {
+    if (CholeskyAttempt(a, n, eps, l)) return Status::OK();
+    eps *= 2.0;
+  }
+  return Status::Internal("matrix is not positive definite");
 }
 
 }  // namespace
@@ -132,19 +145,60 @@ Result<Matrix> CholeskyFactor(const Matrix& a, double jitter) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
-  Result<Matrix> r = CholeskyAttempt(a);
-  if (r.ok() || jitter <= 0.0) return r;
-  Matrix jittered = a;
-  double eps = jitter;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    jittered = a;
-    jittered.AddDiagonal(eps);
-    r = CholeskyAttempt(jittered);
-    if (r.ok()) return r;
-    eps *= 2.0;
-  }
-  return r;
+  const size_t n = a.rows();
+  Matrix l(n, n);
+  if (n == 0) return l;
+  ROCKHOPPER_RETURN_IF_ERROR(CholeskyWithJitter(
+      a.RowSpan(0).data(), n, jitter, l.MutableRowSpan(0).data()));
+  return l;
 }
+
+Status CholeskyFactorInto(std::span<const double> a, size_t n, double jitter,
+                          std::vector<double>* l) {
+  if (a.size() != n * n) {
+    return Status::InvalidArgument("Cholesky requires a square matrix");
+  }
+  l->assign(n * n, 0.0);
+  return CholeskyWithJitter(a.data(), n, jitter, l->data());
+}
+
+namespace {
+
+// Fills row `m` of a factor stored with row stride `stride` whose leading
+// m x m block is L: solves L y = row[0..m) by forward substitution and writes
+// [y^T, sqrt(row[m] - y^T y)], retrying a non-positive new diagonal with
+// `jitter` doubled up to 8 times. Returns false (row `m` clobbered) when
+// positive definiteness cannot be kept.
+bool FillLastRow(double* l, size_t stride, size_t m,
+                 std::span<const double> row, double jitter) {
+  double* y = l + m * stride;
+  for (size_t i = 0; i < m; ++i) {
+    double sum = row[i];
+    for (size_t k = 0; k < i; ++k) sum -= l[i * stride + k] * y[k];
+    y[i] = sum / l[i * stride + i];
+  }
+  const std::span<const double> solved(y, m);
+  const double cross = Dot(solved, solved);
+  double diag = row[m] - cross;
+  if (diag <= 0.0 || !std::isfinite(diag)) {
+    if (jitter <= 0.0 || !std::isfinite(diag)) return false;
+    double eps = jitter;
+    bool rescued = false;
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      diag = row[m] + eps - cross;
+      if (diag > 0.0) {
+        rescued = true;
+        break;
+      }
+      eps *= 2.0;
+    }
+    if (!rescued) return false;
+  }
+  y[m] = std::sqrt(diag);
+  return true;
+}
+
+}  // namespace
 
 Status CholeskyAppendRow(Matrix* l, std::span<const double> row,
                          double jitter) {
@@ -157,36 +211,54 @@ Status CholeskyAppendRow(Matrix* l, std::span<const double> row,
     return Status::InvalidArgument(
         "CholeskyAppendRow requires n cross terms plus the new diagonal");
   }
-  const std::vector<double> y = ForwardSubstitute(*l, row.subspan(0, n));
-  const double cross = Dot(y, y);
-  double diag = row[n] - cross;
-  if (diag <= 0.0 || !std::isfinite(diag)) {
-    if (jitter <= 0.0 || !std::isfinite(diag)) {
-      return Status::Internal("appended row breaks positive definiteness");
-    }
-    double eps = jitter;
-    bool rescued = false;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      diag = row[n] + eps - cross;
-      if (diag > 0.0) {
-        rescued = true;
-        break;
-      }
-      eps *= 2.0;
-    }
-    if (!rescued) {
-      return Status::Internal("appended row breaks positive definiteness");
-    }
-  }
   // Rebuild as (n+1) x (n+1): the old factor is preserved verbatim, the new
   // bottom row is [y^T, sqrt(diag)].
   Matrix grown(n + 1, n + 1);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) grown(i, j) = (*l)(i, j);
   }
-  for (size_t j = 0; j < n; ++j) grown(n, j) = y[j];
-  grown(n, n) = std::sqrt(diag);
+  if (!FillLastRow(grown.MutableRowSpan(0).data(), n + 1, n, row, jitter)) {
+    return Status::Internal("appended row breaks positive definiteness");
+  }
   *l = std::move(grown);
+  return Status::OK();
+}
+
+Status CholeskySlide(Matrix* l, std::span<const double> row, double jitter) {
+  assert(l != nullptr);
+  const size_t n = l->rows();
+  if (l->cols() != n || n == 0) {
+    return Status::InvalidArgument("CholeskySlide requires a non-empty L");
+  }
+  if (row.size() != n) {
+    return Status::InvalidArgument(
+        "CholeskySlide requires n - 1 cross terms plus the new diagonal");
+  }
+  const size_t m = n - 1;
+  double* a = l->MutableRowSpan(0).data();
+  // Drop row/column 0: A22 = L22 L22^T + l21 l21^T, so shift L22 to the top
+  // left (every read stays ahead of every write) and fold l21 back in by a
+  // rank-1 update, one plane rotation per column.
+  std::vector<double> x(m);
+  for (size_t i = 0; i < m; ++i) x[i] = a[(i + 1) * n];
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j <= i; ++j) a[i * n + j] = a[(i + 1) * n + j + 1];
+  }
+  for (size_t k = 0; k < m; ++k) {
+    const double lkk = a[k * n + k];
+    const double r = std::sqrt(lkk * lkk + x[k] * x[k]);
+    const double c = r / lkk;
+    const double s = x[k] / lkk;
+    a[k * n + k] = r;
+    for (size_t i = k + 1; i < m; ++i) {
+      a[i * n + k] = (a[i * n + k] + s * x[i]) / c;
+      x[i] = c * x[i] - s * a[i * n + k];
+    }
+  }
+  // The new observation becomes the last row.
+  if (!FillLastRow(a, n, m, row, jitter)) {
+    return Status::Internal("slid row breaks positive definiteness");
+  }
   return Status::OK();
 }
 

@@ -105,6 +105,12 @@ class Matrix {
 /// times, the standard Gaussian-process trick for near-singular kernels).
 Result<Matrix> CholeskyFactor(const Matrix& a, double jitter = 0.0);
 
+/// Buffer-reusing form of CholeskyFactor for hot loops: factors the n x n
+/// row-major `a` into `l` (resized to n * n, strict upper triangle zero)
+/// with the same jitter retries and bit-identical results.
+Status CholeskyFactorInto(std::span<const double> a, size_t n, double jitter,
+                          std::vector<double>* l);
+
 /// Grows the Cholesky factor of an SPD matrix by one row in O(n^2): given
 /// `l` with L L^T = A (n x n) and `row` = the new bottom row of the grown
 /// matrix A' — the n cross terms A'(n, 0..n-1) followed by the new diagonal
@@ -116,6 +122,17 @@ Result<Matrix> CholeskyFactor(const Matrix& a, double jitter = 0.0);
 /// returned.
 Status CholeskyAppendRow(Matrix* l, std::span<const double> row,
                          double jitter = 0.0);
+
+/// Slides the Cholesky factor of an SPD matrix by one row in O(n^2), in
+/// place: given `l` with L L^T = A (n x n), rewrites it as the n x n factor
+/// of A' — A without row/column 0, grown by one new last row. `row` holds
+/// the new row's n - 1 cross terms with A's rows 1..n-1, then its diagonal.
+/// Dropping row/column 0 is a rank-1 *update* of the trailing block
+/// (A22 = L22 L22^T + l21 l21^T; plane rotations, numerically stable), and
+/// the new row is appended as in CholeskyAppendRow, jitter included. On
+/// failure `l` is left in an unspecified state and Internal is returned.
+Status CholeskySlide(Matrix* l, std::span<const double> row,
+                     double jitter = 0.0);
 
 /// Solves L * y = b for y where L is lower triangular (forward substitution).
 std::vector<double> ForwardSubstitute(const Matrix& l,

@@ -11,21 +11,20 @@ namespace {
 // Observation lists are archived one row per observation: [data_size,
 // runtime, iteration, failed, config...]. Iteration counts and the failed
 // flag fit exactly in doubles, so the round-trip is lossless.
-std::vector<std::vector<double>> ObservationsToRows(
-    const ObservationWindow& observations) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(observations.size());
-  for (const Observation& obs : observations) {
-    std::vector<double> row;
-    row.reserve(4 + obs.config.size());
-    row.push_back(obs.data_size);
-    row.push_back(obs.runtime);
-    row.push_back(static_cast<double>(obs.iteration));
-    row.push_back(obs.failed ? 1.0 : 0.0);
-    row.insert(row.end(), obs.config.begin(), obs.config.end());
-    rows.push_back(std::move(row));
-  }
-  return rows;
+std::vector<double> ObservationToRow(const Observation& obs) {
+  std::vector<double> row;
+  row.reserve(4 + obs.config.size());
+  row.push_back(obs.data_size);
+  row.push_back(obs.runtime);
+  row.push_back(static_cast<double>(obs.iteration));
+  row.push_back(obs.failed ? 1.0 : 0.0);
+  row.insert(row.end(), obs.config.begin(), obs.config.end());
+  return row;
+}
+
+size_t FeaturedBytes(const FeaturedObservation& row) {
+  return sizeof(FeaturedObservation) +
+         (row.obs.config.size() + row.features.size()) * sizeof(double);
 }
 
 Status RowsToObservations(const std::vector<std::vector<double>>& rows,
@@ -77,6 +76,44 @@ sparksim::ConfigVector CentroidLearner::Propose(double expected_data_size) {
   return last_candidates_[pick < last_candidates_.size() ? pick : 0];
 }
 
+ObservationWindow CentroidLearner::history() const {
+  ObservationWindow out;
+  out.reserve(history_.size());
+  for (size_t i = 0; i < history_.size(); ++i) out.push_back(HistoryAt(i).obs);
+  return out;
+}
+
+void CentroidLearner::PushHistory(Observation obs) {
+  std::vector<double> features =
+      WindowFeatures(space_, obs.config, obs.data_size);
+  FeaturedObservation row{std::move(obs), std::move(features)};
+  const size_t window =
+      static_cast<size_t>(std::max(1, options_.window_size));
+  if (history_.size() < window) {
+    history_.push_back(std::move(row));
+    return;
+  }
+  history_[history_start_] = std::move(row);
+  history_start_ = (history_start_ + 1) % history_.size();
+}
+
+void CentroidLearner::AddElite(const FeaturedObservation& candidate) {
+  // Keep the all-time-best observations by size-normalized runtime; under
+  // one-sided production noise these are also the least-noisy samples.
+  // Ties keep arrival order.
+  const auto key = [](const Observation& obs) {
+    return obs.runtime / std::max(1e-12, obs.data_size);
+  };
+  const double candidate_key = key(candidate.obs);
+  const auto pos = std::upper_bound(
+      elites_.begin(), elites_.end(), candidate_key,
+      [&key](double k, const FeaturedObservation& e) { return k < key(e.obs); });
+  const size_t limit = static_cast<size_t>(options_.elite_size);
+  if (static_cast<size_t>(pos - elites_.begin()) >= limit) return;
+  elites_.insert(pos, candidate);
+  if (elites_.size() > limit) elites_.pop_back();
+}
+
 void CentroidLearner::Observe(const sparksim::ConfigVector& config,
                               double data_size, double runtime) {
   Observation obs;
@@ -84,45 +121,41 @@ void CentroidLearner::Observe(const sparksim::ConfigVector& config,
   obs.data_size = data_size;
   obs.runtime = runtime;
   obs.iteration = iteration_++;
-  history_.push_back(std::move(obs));
-  const size_t window =
-      static_cast<size_t>(std::max(1, options_.window_size));
-  if (history_.size() > window) {
-    history_.erase(history_.begin());
-  }
+  PushHistory(std::move(obs));
   best_runtime_ = std::min(best_runtime_, runtime);
-  if (options_.elite_size > 0) {
-    // Keep the all-time-best observations by size-normalized runtime; under
-    // one-sided production noise these are also the least-noisy samples.
-    elites_.push_back(history_.back());
-    std::sort(elites_.begin(), elites_.end(),
-              [](const Observation& a, const Observation& b) {
-                return a.runtime / std::max(1e-12, a.data_size) <
-                       b.runtime / std::max(1e-12, b.data_size);
-              });
-    if (elites_.size() > static_cast<size_t>(options_.elite_size)) {
-      elites_.resize(static_cast<size_t>(options_.elite_size));
-    }
-  }
-  scorer_->Update(history_);
+  if (options_.elite_size > 0) AddElite(HistoryAt(history_.size() - 1));
+  // The FIND_BEST / FIND_GRADIENT window: the history, oldest first, then
+  // the elites. It points into the ring and the elite list; the scorer sees
+  // the history part.
+  std::vector<const FeaturedObservation*> window;
+  window.reserve(history_.size() + elites_.size());
+  for (size_t i = 0; i < history_.size(); ++i) window.push_back(&HistoryAt(i));
+  for (const FeaturedObservation& elite : elites_) window.push_back(&elite);
+  scorer_->Update(FeaturedWindow(window).first(history_.size()));
   if (options_.update_every > 0 && iteration_ % options_.update_every == 0) {
-    MaybeUpdateCentroid(data_size);
+    MaybeUpdateCentroid(window, data_size);
   }
   alpha_ = std::max(options_.min_alpha, alpha_ * options_.step_decay);
   beta_ = std::max(options_.min_beta, beta_ * options_.step_decay);
 }
 
-void CentroidLearner::MaybeUpdateCentroid(double reference_data_size) {
-  ObservationWindow window = history_;
-  window.insert(window.end(), elites_.begin(), elites_.end());
-  Result<Observation> best =
-      FindBest(space_, window, options_.find_best_version,
-               reference_data_size);
+void CentroidLearner::MaybeUpdateCentroid(FeaturedWindow window,
+                                          double reference_data_size) {
+  // One window-model fit serves both FIND_BEST and FIND_GRADIENT; a failed
+  // fit sends each to its fallback.
+  WindowModel model(&space_);
+  const bool fitted =
+      (options_.find_best_version == FindBestVersion::kModelPredicted ||
+       options_.gradient_method == GradientMethod::kModelSign) &&
+      model.FitFeatures(window).ok();
+  const WindowModel* shared = fitted ? &model : nullptr;
+  Result<size_t> best = FindBestIndex(window, options_.find_best_version,
+                                      reference_data_size, shared);
   if (!best.ok()) return;
-  const sparksim::ConfigVector& c_star = best->config;
+  const sparksim::ConfigVector& c_star = window[*best]->obs.config;
   Result<GradientSigns> gradient =
       FindGradient(space_, window, options_.gradient_method, c_star,
-                   reference_data_size, alpha_);
+                   reference_data_size, alpha_, shared);
   if (!gradient.ok()) {
     // Not enough observations for a gradient yet: anchor on the best point.
     centroid_ = c_star;
@@ -144,10 +177,17 @@ Status CentroidLearner::Save(const std::string& prefix,
   rng_state << rng_.engine();
   ROCKHOPPER_RETURN_IF_ERROR(
       writer->PutString(prefix + ".rng", rng_state.str()));
-  ROCKHOPPER_RETURN_IF_ERROR(writer->PutDoubleRows(
-      prefix + ".history", ObservationsToRows(history_)));
-  ROCKHOPPER_RETURN_IF_ERROR(writer->PutDoubleRows(
-      prefix + ".elites", ObservationsToRows(elites_)));
+  std::vector<std::vector<double>> history_rows, elite_rows;
+  for (size_t i = 0; i < history_.size(); ++i) {
+    history_rows.push_back(ObservationToRow(HistoryAt(i).obs));
+  }
+  for (const FeaturedObservation& elite : elites_) {
+    elite_rows.push_back(ObservationToRow(elite.obs));
+  }
+  ROCKHOPPER_RETURN_IF_ERROR(
+      writer->PutDoubleRows(prefix + ".history", history_rows));
+  ROCKHOPPER_RETURN_IF_ERROR(
+      writer->PutDoubleRows(prefix + ".elites", elite_rows));
   ROCKHOPPER_RETURN_IF_ERROR(writer->PutDoubleRows(
       prefix + ".last_candidates",
       std::vector<std::vector<double>>(last_candidates_.begin(),
@@ -193,8 +233,16 @@ Status CentroidLearner::Load(const std::string& prefix,
   ROCKHOPPER_RETURN_IF_ERROR(scorer_->Load(prefix + ".scorer", reader));
   centroid_ = std::move(centroid);
   rng_.engine() = engine;
-  history_ = std::move(history);
-  elites_ = std::move(elites);
+  // Feature rows are derived state: recomputed here, never archived.
+  history_.clear();
+  history_start_ = 0;
+  for (const Observation& obs : history) PushHistory(obs);
+  elites_.clear();
+  for (Observation& obs : elites) {
+    std::vector<double> features =
+        WindowFeatures(space_, obs.config, obs.data_size);
+    elites_.push_back({std::move(obs), std::move(features)});
+  }
   last_candidates_.assign(candidate_rows.begin(), candidate_rows.end());
   last_gradient_.clear();
   last_gradient_.reserve(gradient.size());
@@ -209,12 +257,8 @@ Status CentroidLearner::Load(const std::string& prefix,
 size_t CentroidLearner::ApproxBytes() const {
   size_t bytes = sizeof(*this) + centroid_.size() * sizeof(double) +
                  last_gradient_.size() * sizeof(int);
-  for (const Observation& obs : history_) {
-    bytes += sizeof(Observation) + obs.config.size() * sizeof(double);
-  }
-  for (const Observation& obs : elites_) {
-    bytes += sizeof(Observation) + obs.config.size() * sizeof(double);
-  }
+  for (const FeaturedObservation& row : history_) bytes += FeaturedBytes(row);
+  for (const FeaturedObservation& row : elites_) bytes += FeaturedBytes(row);
   for (const auto& candidate : last_candidates_) {
     bytes += sizeof(candidate) + candidate.size() * sizeof(double);
   }

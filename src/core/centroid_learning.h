@@ -72,7 +72,8 @@ class CentroidLearner : public Tuner {
   std::string name() const override { return "centroid-learning"; }
 
   const sparksim::ConfigVector& centroid() const { return centroid_; }
-  const ObservationWindow& history() const { return history_; }
+  /// The latest-N window, oldest first (a copy; for tests and reports).
+  ObservationWindow history() const;
   int iteration() const { return iteration_; }
   /// Current (decayed) step sizes.
   double alpha() const { return alpha_; }
@@ -99,15 +100,25 @@ class CentroidLearner : public Tuner {
   size_t ApproxBytes() const;
 
  private:
-  void MaybeUpdateCentroid(double reference_data_size);
+  void PushHistory(Observation obs);
+  void AddElite(const FeaturedObservation& candidate);
+  /// The i-th history row, oldest first.
+  const FeaturedObservation& HistoryAt(size_t i) const {
+    return history_[(history_start_ + i) % history_.size()];
+  }
+  void MaybeUpdateCentroid(FeaturedWindow window, double reference_data_size);
 
   const sparksim::ConfigSpace& space_;
   CentroidLearningOptions options_;
   sparksim::ConfigVector centroid_;
   std::unique_ptr<CandidateScorer> scorer_;
   common::Rng rng_;
-  ObservationWindow history_;
-  ObservationWindow elites_;  // all-time best by size-normalized runtime
+  /// The latest-N window as a ring: once full, a new observation overwrites
+  /// the oldest slot, which sits at history_start_.
+  std::vector<FeaturedObservation> history_;
+  size_t history_start_ = 0;
+  /// All-time best by size-normalized runtime, best first.
+  std::vector<FeaturedObservation> elites_;
   std::vector<sparksim::ConfigVector> last_candidates_;
   GradientSigns last_gradient_;
   double best_runtime_;

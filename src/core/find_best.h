@@ -3,6 +3,7 @@
 
 #include "common/status.h"
 #include "core/observation.h"
+#include "core/window_model.h"
 #include "sparksim/config_space.h"
 
 namespace rockhopper::core {
@@ -29,6 +30,15 @@ Result<Observation> FindBest(const sparksim::ConfigSpace& space,
                              const ObservationWindow& window,
                              FindBestVersion version,
                              double reference_data_size);
+
+/// FindBest over a featured window; returns the index of c* in `window`.
+/// `model` is the window model already fitted on exactly `window` (Centroid
+/// Learning fits it once per centroid update and shares it with
+/// FindGradient), or null when that fit failed — kModelPredicted then falls
+/// back to kNormalized, as above. The other versions ignore it.
+Result<size_t> FindBestIndex(FeaturedWindow window, FindBestVersion version,
+                             double reference_data_size,
+                             const WindowModel* model);
 
 }  // namespace rockhopper::core
 

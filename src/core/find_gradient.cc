@@ -29,10 +29,10 @@ double StepDimension(const sparksim::ParamSpec& spec, double value, int sign,
 }
 
 Result<GradientSigns> LinearSignGradient(const sparksim::ConfigSpace& space,
-                                         const ObservationWindow& window) {
+                                         FeaturedWindow window) {
   ml::Dataset data;
-  for (const Observation& obs : window) {
-    data.Add(WindowFeatures(space, obs.config, obs.data_size), obs.runtime);
+  for (const FeaturedObservation* row : window) {
+    data.Add(row->features, row->obs.runtime);
   }
   ml::LinearRegression model(/*l2=*/1e-6);
   ROCKHOPPER_RETURN_IF_ERROR(model.Fit(data));
@@ -44,29 +44,35 @@ Result<GradientSigns> LinearSignGradient(const sparksim::ConfigSpace& space,
   return delta;
 }
 
-Result<GradientSigns> ModelSignGradient(const sparksim::ConfigSpace& space,
-                                        const ObservationWindow& window,
-                                        const sparksim::ConfigVector& c_star,
-                                        double reference_data_size,
-                                        double alpha) {
-  WindowModel model(&space);
-  ROCKHOPPER_RETURN_IF_ERROR(model.Fit(window));
+GradientSigns ModelSignGradient(const sparksim::ConfigSpace& space,
+                                const WindowModel& model,
+                                const sparksim::ConfigVector& c_star,
+                                double reference_data_size, double alpha) {
   const size_t d = space.size();
+  // Every probe steps each dimension one way or the other, so each
+  // dimension has just two probe values: normalize those 2d values once
+  // instead of all d coordinates of all 2^d probes.
+  sparksim::ConfigVector plus = c_star;
+  sparksim::ConfigVector minus = c_star;
+  for (size_t i = 0; i < d; ++i) {
+    plus[i] = StepDimension(space.param(i), c_star[i], 1, alpha);
+    minus[i] = StepDimension(space.param(i), c_star[i], -1, alpha);
+  }
+  const std::vector<double> unit_plus = space.Normalize(space.Clamp(plus));
+  const std::vector<double> unit_minus = space.Normalize(space.Clamp(minus));
+  const double size_feature = SizeFeature(reference_data_size);
   const size_t combos = static_cast<size_t>(1) << d;
   double best_pred = std::numeric_limits<double>::infinity();
   GradientSigns best_delta(d, 0);
+  std::vector<double> probe(d);
   for (size_t mask = 0; mask < combos; ++mask) {
-    GradientSigns delta(d);
-    sparksim::ConfigVector probe = c_star;
     for (size_t i = 0; i < d; ++i) {
-      delta[i] = (mask >> i) & 1 ? 1 : -1;
-      probe[i] = StepDimension(space.param(i), probe[i], delta[i], alpha);
+      probe[i] = (mask >> i) & 1 ? unit_plus[i] : unit_minus[i];
     }
-    probe = space.Clamp(std::move(probe));
-    const double pred = model.Predict(probe, reference_data_size);
+    const double pred = model.PredictFeatures(probe, size_feature);
     if (pred < best_pred) {
       best_pred = pred;
-      best_delta = delta;
+      for (size_t i = 0; i < d; ++i) best_delta[i] = (mask >> i) & 1 ? 1 : -1;
     }
   }
   return best_delta;
@@ -79,6 +85,20 @@ Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
                                    GradientMethod method,
                                    const sparksim::ConfigVector& c_star,
                                    double reference_data_size, double alpha) {
+  const FeaturedCopy rows(space, window);
+  WindowModel model(&space);
+  if (method == GradientMethod::kModelSign && window.size() >= 2) {
+    ROCKHOPPER_RETURN_IF_ERROR(model.FitFeatures(rows.view()));
+  }
+  return FindGradient(space, rows.view(), method, c_star, reference_data_size,
+                      alpha, model.is_fitted() ? &model : nullptr);
+}
+
+Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
+                                   FeaturedWindow window, GradientMethod method,
+                                   const sparksim::ConfigVector& c_star,
+                                   double reference_data_size, double alpha,
+                                   const WindowModel* model) {
   if (window.size() < 2) {
     return Status::InvalidArgument("need at least 2 observations for gradient");
   }
@@ -86,7 +106,10 @@ Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
     case GradientMethod::kLinearSign:
       return LinearSignGradient(space, window);
     case GradientMethod::kModelSign:
-      return ModelSignGradient(space, window, c_star, reference_data_size,
+      if (model == nullptr) {
+        return Status::Internal("window model fit failed");
+      }
+      return ModelSignGradient(space, *model, c_star, reference_data_size,
                                alpha);
   }
   return Status::Internal("unknown GradientMethod");

@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "core/observation.h"
+#include "core/window_model.h"
 #include "sparksim/config_space.h"
 
 namespace rockhopper::core {
@@ -36,6 +37,15 @@ Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
                                    GradientMethod method,
                                    const sparksim::ConfigVector& c_star,
                                    double reference_data_size, double alpha);
+
+/// FindGradient over a featured window. `model` is the window model already
+/// fitted on exactly `window` (shared with FindBestIndex), or null when that
+/// fit failed — kModelSign then fails, as above. kLinearSign ignores it.
+Result<GradientSigns> FindGradient(const sparksim::ConfigSpace& space,
+                                   FeaturedWindow window, GradientMethod method,
+                                   const sparksim::ConfigVector& c_star,
+                                   double reference_data_size, double alpha,
+                                   const WindowModel* model);
 
 /// Applies the centroid update of Algorithm 1. With
 /// `multiplicative` (the scale-invariant reading of Eq. 6; default) the new

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/matrix.h"
-#include "core/window_model.h"
 
 namespace rockhopper::core {
 
@@ -34,27 +33,29 @@ std::vector<double> SurrogateScorer::GpFeatures(
   return WindowFeatures(space_, config, data_size);
 }
 
-void SurrogateScorer::Update(const ObservationWindow& history) {
+void SurrogateScorer::Update(FeaturedWindow history) {
   const size_t prev_size = history_size_;
   history_size_ = history.size();
   if (history.empty()) return;
+  const FeaturedObservation& newest = *history.back();
   if (history.size() < options_.min_history) {
-    last_tail_iteration_ = history.back().iteration;
+    last_tail_iteration_ = newest.obs.iteration;
     return;
   }
-  // Tuning histories normally grow by one row per observation; when the new
-  // history extends the one already absorbed, route through the GP's O(n^2)
-  // incremental update instead of rebuilding the training set. The GP
-  // windows itself (max_rows) and escalates to full refits per its policy.
-  const bool pure_append =
-      gp_.is_fitted() && history.size() == prev_size + 1 &&
-      history.size() >= 2 &&
-      history[history.size() - 2].iteration == last_tail_iteration_;
-  last_tail_iteration_ = history.back().iteration;
-  if (pure_append) {
-    const Observation& obs = history.back();
+  // Tuning histories move by one row per observation: they grow until the
+  // tuner's window is full, then slide. When the new history is the one
+  // already absorbed moved by one row, route through the GP's O(n^2)
+  // incremental update instead of rebuilding the training set; a slide
+  // drops the GP's oldest row in the same step. The GP also windows itself
+  // (max_rows) and escalates to full refits per its policy.
+  const bool one_row =
+      gp_.is_fitted() && history.size() >= 2 &&
+      history[history.size() - 2]->obs.iteration == last_tail_iteration_;
+  const bool slid = history.size() == prev_size;
+  last_tail_iteration_ = newest.obs.iteration;
+  if (one_row && (slid || history.size() == prev_size + 1)) {
     // A failed update keeps the previous fit, like a failed refit below.
-    (void)gp_.Update(GpFeatures(obs.config, obs.data_size), obs.runtime);
+    (void)gp_.Update(newest.features, newest.obs.runtime, slid);
     return;
   }
   ml::Dataset data;
@@ -62,8 +63,7 @@ void SurrogateScorer::Update(const ObservationWindow& history) {
                            ? history.size() - options_.max_window
                            : 0;
   for (size_t i = start; i < history.size(); ++i) {
-    data.Add(GpFeatures(history[i].config, history[i].data_size),
-             history[i].runtime);
+    data.Add(history[i]->features, history[i]->obs.runtime);
   }
   // A failed refit leaves the previous fit in place; scoring degrades to
   // the baseline blend rather than erroring out of the tuning loop.
@@ -152,7 +152,7 @@ size_t SurrogateScorer::ApproxBytes() const {
   return sizeof(*this) + embedding_.size() * sizeof(double) + gp_.ApproxBytes();
 }
 
-void PseudoSurrogateScorer::Update(const ObservationWindow& history) {
+void PseudoSurrogateScorer::Update(FeaturedWindow history) {
   (void)history;  // An oracle has nothing to learn.
 }
 
@@ -191,15 +191,14 @@ RegressorScorer::RegressorScorer(const sparksim::ConfigSpace& space,
       min_history_(min_history),
       max_window_(max_window) {}
 
-void RegressorScorer::Update(const ObservationWindow& history) {
+void RegressorScorer::Update(FeaturedWindow history) {
   usable_ = false;
   if (history.size() < min_history_) return;
   ml::Dataset data;
   const size_t start =
       history.size() > max_window_ ? history.size() - max_window_ : 0;
   for (size_t i = start; i < history.size(); ++i) {
-    data.Add(WindowFeatures(space_, history[i].config, history[i].data_size),
-             history[i].runtime);
+    data.Add(history[i]->features, history[i]->obs.runtime);
   }
   usable_ = model_->Fit(data).ok();
 }
@@ -222,7 +221,7 @@ size_t RegressorScorer::SelectBest(
   return best;
 }
 
-void RandomScorer::Update(const ObservationWindow& history) { (void)history; }
+void RandomScorer::Update(FeaturedWindow history) { (void)history; }
 
 size_t RandomScorer::SelectBest(
     const std::vector<sparksim::ConfigVector>& candidates, double data_size,

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/baseline_model.h"
 #include "core/observation.h"
+#include "core/window_model.h"
 #include "ml/acquisition.h"
 #include "ml/gaussian_process.h"
 #include "sparksim/config_space.h"
@@ -27,8 +28,9 @@ class CandidateScorer {
   virtual ~CandidateScorer() = default;
 
   /// Refits internal models after a new observation landed. `history` is
-  /// the full (or windowed) observation list for this query.
-  virtual void Update(const ObservationWindow& history) = 0;
+  /// the full (or windowed) observation list for this query, oldest first,
+  /// each row with its cached WindowFeatures.
+  virtual void Update(FeaturedWindow history) = 0;
 
   /// Index of the candidate to execute next; `data_size` is the expected
   /// input size of the upcoming run and `best_observed` the lowest runtime
@@ -69,7 +71,8 @@ class CandidateScorer {
 struct SurrogateScorerOptions {
   ml::AcquisitionOptions acquisition;
   /// Surrogate hyperparameters; max_rows defaults to max_window below so the
-  /// GP windows itself and pure appends stay on the O(n^2) update path.
+  /// GP windows itself and both appends and slides stay on the O(n^2)
+  /// update path.
   ml::GaussianProcessOptions gp;
   size_t max_window = 60;    ///< cap on GP training rows (O(n^3) fits)
   size_t min_history = 3;    ///< below this, baseline-only
@@ -86,7 +89,7 @@ class SurrogateScorer : public CandidateScorer {
                   const BaselineModel* baseline,
                   std::vector<double> embedding, Options options = {});
 
-  void Update(const ObservationWindow& history) override;
+  void Update(FeaturedWindow history) override;
   size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
                     double data_size, double best_observed) override;
   std::string name() const override { return "surrogate-gp"; }
@@ -111,8 +114,9 @@ class SurrogateScorer : public CandidateScorer {
   ml::GaussianProcessRegressor gp_;
   size_t history_size_ = 0;
   /// Iteration number of the last history row absorbed, used to detect that
-  /// a new history is a pure append of the previous one (the hot path that
-  /// routes through the GP's O(n^2) incremental update).
+  /// a new history is the previous one moved by one row — appended, or
+  /// appended with the oldest row dropped (the hot path that routes through
+  /// the GP's O(n^2) incremental update).
   int last_tail_iteration_ = -1;
 };
 
@@ -125,7 +129,7 @@ class PseudoSurrogateScorer : public CandidateScorer {
   PseudoSurrogateScorer(const sparksim::SyntheticFunction* function, int level)
       : function_(function), level_(level) {}
 
-  void Update(const ObservationWindow& history) override;
+  void Update(FeaturedWindow history) override;
   size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
                     double data_size, double best_observed) override;
   std::string name() const override;
@@ -146,7 +150,7 @@ class RegressorScorer : public CandidateScorer {
                   std::string model_name, size_t min_history = 3,
                   size_t max_window = 60);
 
-  void Update(const ObservationWindow& history) override;
+  void Update(FeaturedWindow history) override;
   size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
                     double data_size, double best_observed) override;
   std::string name() const override { return "regressor-" + model_name_; }
@@ -165,7 +169,7 @@ class RandomScorer : public CandidateScorer {
  public:
   explicit RandomScorer(uint64_t seed) : rng_(seed) {}
 
-  void Update(const ObservationWindow& history) override;
+  void Update(FeaturedWindow history) override;
   size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
                     double data_size, double best_observed) override;
   std::string name() const override { return "random"; }

@@ -63,12 +63,8 @@ Status GaussianProcessRegressor::FitFromRaw() {
   updates_since_refit_ = 0;
   if (raw_y_.empty()) return Status::InvalidArgument("empty training data");
   ROCKHOPPER_RETURN_IF_ERROR(x_scaler_.Fit(raw_x_));
-  y_scaler_.Fit(raw_y_);
   train_x_ = x_scaler_.TransformBatch(raw_x_);
-  train_y_std_.resize(raw_y_.size());
-  for (size_t i = 0; i < raw_y_.size(); ++i) {
-    train_y_std_[i] = y_scaler_.Transform(raw_y_[i]);
-  }
+  StandardizeTargets();
 
   // One O(n^2 * d) distance pass serves the entire lengthscale grid: both
   // kernels depend on the inputs only through ||a - b||^2.
@@ -121,6 +117,14 @@ Status GaussianProcessRegressor::FitFromRaw() {
   return Status::OK();
 }
 
+void GaussianProcessRegressor::StandardizeTargets() {
+  y_scaler_.Fit(raw_y_);
+  train_y_std_.resize(raw_y_.size());
+  for (size_t i = 0; i < raw_y_.size(); ++i) {
+    train_y_std_[i] = y_scaler_.Transform(raw_y_[i]);
+  }
+}
+
 void GaussianProcessRegressor::AppendRaw(std::span<const double> features,
                                          double target) {
   raw_x_.AppendRow(features);
@@ -128,21 +132,23 @@ void GaussianProcessRegressor::AppendRaw(std::span<const double> features,
 }
 
 Status GaussianProcessRegressor::Update(std::span<const double> features,
-                                        double target) {
+                                        double target, bool drop_oldest) {
   if (raw_x_.rows() > 0 && features.size() != raw_x_.cols()) {
     return Status::InvalidArgument("feature width mismatch in GP update");
   }
   AppendRaw(features, target);
-  bool slid = false;
-  if (options_.max_rows > 0 && raw_y_.size() > options_.max_rows) {
+  const bool slid =
+      (drop_oldest && raw_y_.size() > 1) ||
+      (options_.max_rows > 0 && raw_y_.size() > options_.max_rows);
+  if (slid) {
     raw_x_.DropFirstRows(1);
     raw_y_.erase(raw_y_.begin());
-    slid = true;
   }
-  // The factorization only extends; a window slide drops its first row and
-  // a missing fit means there is nothing to extend. Small windows refit
-  // fully: cheap, and hyperparameter freshness matters most early.
-  if (!fitted_ || slid || raw_y_.size() < options_.min_incremental_rows) {
+  // A missing fit leaves nothing to extend. A growing window below
+  // min_incremental_rows refits fully: cheap, and hyperparameter freshness
+  // matters most early. A slide keeps the window size, so it never counts
+  // as growth.
+  if (!fitted_ || (!slid && raw_y_.size() < options_.min_incremental_rows)) {
     return FitFromRaw();
   }
   ++updates_since_refit_;
@@ -151,29 +157,37 @@ Status GaussianProcessRegressor::Update(std::span<const double> features,
     return FitFromRaw();
   }
   const std::vector<double> xs = x_scaler_.Transform(features);
-  const double ys = y_scaler_.Transform(target);
   if (options_.scaler_drift_zscore > 0.0) {
     const double z = options_.scaler_drift_zscore;
-    bool drifted = std::abs(ys) > z;
+    bool drifted = std::abs(y_scaler_.Transform(target)) > z;
     for (size_t j = 0; !drifted && j < xs.size(); ++j) {
       drifted = std::abs(xs[j]) > z;
     }
     if (drifted) return FitFromRaw();
   }
 
-  // Exact O(n^2) rank-append of the factorization under the frozen scalers
-  // and lengthscale.
+  // Exact O(n^2) update of the factorization under the frozen feature
+  // scaler and lengthscale: a row-append, or on a slide a rank-1 update
+  // that removes the oldest row followed by the append, in place.
+  const size_t first = slid ? 1 : 0;
   const size_t n = train_x_.rows();
   const std::span<const double> xs_span(xs);
-  std::vector<double> row(n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    row[i] = KernelFromD2(common::SquaredDistance(train_x_[i], xs_span));
+  std::vector<double> row(n - first + 1);
+  for (size_t i = first; i < n; ++i) {
+    row[i - first] =
+        KernelFromD2(common::SquaredDistance(train_x_[i], xs_span));
   }
-  row[n] = KernelFromD2(0.0) + options_.noise_variance;
-  const Status append = common::CholeskyAppendRow(&chol_, row, /*jitter=*/1e-8);
-  if (!append.ok()) return FitFromRaw();  // numerically degenerate append
+  row.back() = KernelFromD2(0.0) + options_.noise_variance;
+  const Status grown =
+      slid ? common::CholeskySlide(&chol_, row, /*jitter=*/1e-8)
+           : common::CholeskyAppendRow(&chol_, row, /*jitter=*/1e-8);
+  if (!grown.ok()) return FitFromRaw();  // numerically degenerate row
+  if (slid) train_x_.DropFirstRows(1);
   train_x_.AppendRow(xs_span);
-  train_y_std_.push_back(ys);
+  // The factor does not depend on the targets, so the target scaler is
+  // refit on every update for O(n): a window whose runtimes drift keeps a
+  // zero-mean, unit-variance target between hyperparameter refits.
+  StandardizeTargets();
   const std::vector<double> z = common::ForwardSubstitute(chol_, train_y_std_);
   alpha_ = common::BackSubstituteTranspose(chol_, z);
   RecomputeLogMarginalLikelihood();

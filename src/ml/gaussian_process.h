@@ -31,22 +31,25 @@ struct GaussianProcessOptions {
   double signal_variance = 1.0;
 
   // --- incremental-observe policy (Update) ---
-  /// Every this many Update() calls the scalers and lengthscale grid are
-  /// refit from scratch; between refits Update() performs an exact O(n^2)
-  /// Cholesky row-append under the frozen hyperparameters. 1 refits on every
+  /// Every this many Update() calls the feature scaler and lengthscale grid
+  /// are refit from scratch; between refits Update() appends (and, on a
+  /// window slide, first removes) one row of the Cholesky factor in O(n^2)
+  /// under the frozen hyperparameters. The target scaler is refit on every
+  /// Update(): the factor does not depend on the targets. 1 refits on every
   /// observation (the legacy per-observation behavior); <= 0 disables
-  /// periodic refits entirely (incremental only — drift and window slides
-  /// still trigger refits).
+  /// periodic refits entirely (only scaler drift and a failed append still
+  /// trigger refits).
   int refit_interval = 8;
-  /// Below this many training rows Update() always refits fully: O(n^3) is
-  /// cheap at small n and hyperparameter freshness matters most early, when
-  /// each observation reshapes the scalers and lengthscale. The incremental
-  /// path engages only once the window is large enough for full refits to
-  /// hurt. 0 engages it immediately.
+  /// While the training window *grows* and holds fewer than this many rows,
+  /// Update() refits fully: O(n^3) is cheap at small n and hyperparameter
+  /// freshness matters most early, when each observation reshapes the
+  /// scalers and lengthscale. A window slide keeps the row count, so it is
+  /// not growth and takes the O(n^2) path at any size. 0 engages the
+  /// incremental path immediately.
   size_t min_incremental_rows = 20;
   /// Sliding-window cap on training rows retained across Update() calls;
-  /// 0 = unbounded. Dropping the oldest row invalidates the factorization,
-  /// so a window slide forces a full refit.
+  /// 0 = unbounded. An Update() that would exceed it drops the oldest row
+  /// in the same O(n^2) step as Update(..., drop_oldest = true).
   size_t max_rows = 0;
   /// Full refit when a new observation lands more than this many standard
   /// deviations outside the frozen scalers' view of the data (either in a
@@ -68,8 +71,10 @@ struct GaussianProcessOptions {
 ///     pass plus one O(n^3) Cholesky per grid point, with no duplicate
 ///     final fit.
 ///   - Update() appends one observation in O(n^2) (Cholesky row-append and
-///     a pair of triangular solves) while the scalers/lengthscale stay
-///     frozen, refitting fully per the policy knobs above.
+///     a pair of triangular solves) while the feature scaler and
+///     lengthscale stay frozen; a sliding window first drops its oldest
+///     row by a rank-1 update of the trailing factor, also O(n^2). It
+///     refits fully per the policy knobs above.
 ///   - PredictBatch() scores a whole candidate pool through one cross-kernel
 ///     matrix and a multi-right-hand-side triangular solve.
 /// Fit cost is O(n^3): callers with long observation histories should window
@@ -81,13 +86,16 @@ class GaussianProcessRegressor : public ProbabilisticRegressor {
 
   Status Fit(const Dataset& data) override;
 
-  /// Incrementally absorbs one observation (the hot observe path). Performs
-  /// an exact rank-append of the posterior under the current scalers and
-  /// lengthscale, escalating to a full internal refit on the policy
-  /// triggers (refit cadence, window slide, scaler drift, append failure).
-  /// Before the first successful fit this accumulates rows and retries the
-  /// full fit.
-  Status Update(std::span<const double> features, double target);
+  /// Incrementally absorbs one observation (the hot observe path). With
+  /// `drop_oldest` (a caller's own sliding window) or when max_rows would be
+  /// exceeded, the oldest row leaves the window in the same step. Both slide
+  /// and append are exact O(n^2) factor updates under the current feature
+  /// scaler and lengthscale, escalating to a full internal refit on the policy
+  /// triggers (growth below min_incremental_rows, refit cadence, scaler
+  /// drift, append failure). Before the first successful fit this
+  /// accumulates rows and retries the full fit.
+  Status Update(std::span<const double> features, double target,
+                bool drop_oldest = false);
 
   double Predict(const std::vector<double>& features) const override;
   Prediction PredictWithUncertainty(
@@ -138,6 +146,8 @@ class GaussianProcessRegressor : public ProbabilisticRegressor {
   /// Full refit (scalers + lengthscale grid + factorization) from the
   /// retained raw training window.
   Status FitFromRaw();
+  /// Refits the target scaler on the raw window and re-standardizes it.
+  void StandardizeTargets();
   void AppendRaw(std::span<const double> features, double target);
   void RecomputeLogMarginalLikelihood();
 

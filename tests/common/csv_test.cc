@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::common {
 namespace {
@@ -77,9 +78,8 @@ TEST(CsvTest, NumericColumnRejectsText) {
 }
 
 TEST(CsvFileTest, WriteAndReadBack) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_csv_test.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("table.csv");
   CsvTable table;
   table.header = {"x"};
   table.rows = {{"42"}};

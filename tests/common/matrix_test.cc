@@ -256,6 +256,61 @@ TEST(CholeskyAppendRowTest, MatchesFullFactorizationOnRandomSpd) {
   }
 }
 
+TEST(CholeskySlideTest, MatchesFactorOfSlidMatrix) {
+  Rng rng(43);
+  for (int trial = 0; trial < 20; ++trial) {
+    // A (n+1) x (n+1) SPD matrix: its leading n x n block is the window
+    // before the slide, its trailing n x n block the window after it.
+    const size_t n = 1 + static_cast<size_t>(rng.Index(30));
+    const Matrix a = RandomSpd(n + 1, &rng);
+    Matrix before(n, n), after(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        before(i, j) = a(i, j);
+        after(i, j) = a(i + 1, j + 1);
+      }
+    }
+    Result<Matrix> l = CholeskyFactor(before);
+    ASSERT_TRUE(l.ok());
+    Matrix slid = *l;
+    std::vector<double> row(n);
+    for (size_t j = 0; j < n; ++j) row[j] = a(n, j + 1);
+    ASSERT_TRUE(CholeskySlide(&slid, row).ok());
+    Result<Matrix> l_after = CholeskyFactor(after);
+    ASSERT_TRUE(l_after.ok());
+    ASSERT_EQ(slid.rows(), n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(slid(i, j), (*l_after)(i, j), 1e-9)
+            << "trial " << trial << " at (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(CholeskyFactorIntoTest, MatchesCholeskyFactorBitForBit) {
+  Rng rng(44);
+  std::vector<double> l;  // reused across sizes
+  for (int trial = 0; trial < 10; ++trial) {
+    const size_t n = 1 + static_cast<size_t>(rng.Index(20));
+    const Matrix a = RandomSpd(n, &rng);
+    std::vector<double> flat;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) flat.push_back(a(i, j));
+    }
+    ASSERT_TRUE(CholeskyFactorInto(flat, n, 1e-10, &l).ok());
+    Result<Matrix> expected = CholeskyFactor(a, 1e-10);
+    ASSERT_TRUE(expected.ok());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) EXPECT_EQ(l[i * n + j], (*expected)(i, j));
+    }
+  }
+  // Not positive definite, even after the jitter retries.
+  EXPECT_FALSE(CholeskyFactorInto(std::vector<double>{1.0, 2.0, 2.0, 1.0}, 2,
+                                  1e-10, &l)
+                   .ok());
+}
+
 TEST(CholeskyAppendRowTest, JitterRescuesDegenerateDiagonal) {
   // Appending a duplicate of an existing row makes the grown matrix
   // singular: the new diagonal d = a_nn - ||y||^2 collapses to ~0. Without

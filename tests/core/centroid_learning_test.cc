@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <memory>
 
+#include "common/archive.h"
 #include "sparksim/synthetic.h"
 
 namespace rockhopper::core {
@@ -158,6 +160,98 @@ TEST_F(CentroidLearningTest, LinearGradientVariantAlsoConverges) {
   const double start_perf =
       function_.TruePerformance(space_.Denormalize({0.9, 0.9, 0.9}), 1.0);
   EXPECT_LT(final_perf, start_perf);
+}
+
+// Pins the GP-free Centroid Learning trajectory bit for bit: the window
+// model, FIND_BEST and FIND_GRADIENT must keep moving the centroid to
+// exactly these values (hexfloat literals): the final centroid, then the
+// running sum of every centroid along the way. Data sizes vary so the
+// log-data-size feature takes part in every fit.
+TEST_F(CentroidLearningTest, PseudoSurrogateTrajectoryIsPinned) {
+  struct Case {
+    FindBestVersion find_best;
+    GradientMethod gradient;
+    int window_size;
+    int elite_size;
+    std::vector<double> expected;  // final centroid, then trajectory sum
+  };
+  const std::vector<Case> cases = {
+      {FindBestVersion::kModelPredicted, GradientMethod::kModelSign, 15, 3,
+       {0x1.545accp+22, 0x1.5459ep+19, 0x1.2cp+8,
+        0x1.0c56b7e5p+32}},
+      {FindBestVersion::kModelPredicted, GradientMethod::kModelSign, 10, 0,
+       {0x1.7a2d638p+25, 0x1.66ab44p+22, 0x1.d24p+10,
+        0x1.92e703ecp+31}},
+      {FindBestVersion::kNormalized, GradientMethod::kLinearSign, 15, 3,
+       {0x1.809bfcap+27, 0x1.a487p+17, 0x1.01p+8,
+        0x1.81b918cc8p+33}},
+  };
+  for (const Case& c : cases) {
+    CentroidLearningOptions options;
+    options.find_best_version = c.find_best;
+    options.gradient_method = c.gradient;
+    options.window_size = c.window_size;
+    options.elite_size = c.elite_size;
+    auto learner =
+        MakeLearner(5, options, space_.Denormalize({0.8, 0.2, 0.7}), 11);
+    common::Rng rng(12);
+    double trajectory_sum = 0.0;
+    for (int t = 0; t < 60; ++t) {
+      const double data_size = 0.5 + 0.25 * static_cast<double>(t % 7);
+      const sparksim::ConfigVector config = learner->Propose(data_size);
+      learner->Observe(config, data_size,
+                       function_.Observe(config, data_size,
+                                         sparksim::NoiseParams::High(), &rng));
+      for (double v : learner->centroid()) trajectory_sum += v;
+    }
+    std::vector<double> actual = learner->centroid();
+    actual.push_back(trajectory_sum);
+    ASSERT_EQ(actual.size(), c.expected.size());
+    for (size_t i = 0; i < c.expected.size(); ++i) {
+      EXPECT_EQ(actual[i], c.expected[i]) << std::hexfloat << actual[i];
+    }
+  }
+}
+
+// Save/Load once the history ring has wrapped and the GP surrogate is
+// between refits of its sliding window: the restored learner (features
+// recomputed, ring rebuilt oldest-first) must continue bit-identically.
+TEST_F(CentroidLearningTest, SaveLoadWithWrappedRingIsBitIdentical) {
+  const auto make = [this] {
+    return std::make_unique<CentroidLearner>(
+        space_, space_.Denormalize({0.8, 0.3, 0.6}),
+        std::make_unique<SurrogateScorer>(space_, nullptr,
+                                          std::vector<double>{}),
+        CentroidLearningOptions{}, 21);
+  };
+  auto original = make();
+  common::Rng rng(22);
+  const auto step = [&](CentroidLearner* learner, int t) {
+    const double data_size = 0.5 + 0.25 * static_cast<double>(t % 5);
+    const sparksim::ConfigVector c = learner->Propose(data_size);
+    learner->Observe(c, data_size,
+                     function_.Observe(c, data_size,
+                                       sparksim::NoiseParams::High(), &rng));
+    return c;
+  };
+  for (int t = 0; t < 37; ++t) step(original.get(), t);  // 15-row ring wraps
+  common::ArchiveWriter writer;
+  ASSERT_TRUE(original->Save("cl", &writer).ok());
+  Result<common::ArchiveReader> reader =
+      common::ArchiveReader::Parse(writer.Finish());
+  ASSERT_TRUE(reader.ok());
+  auto restored = make();
+  ASSERT_TRUE(restored->Load("cl", *reader).ok());
+  EXPECT_EQ(restored->history().size(), 15u);
+  EXPECT_EQ(restored->ApproxBytes(), original->ApproxBytes());
+  for (int t = 37; t < 60; ++t) {
+    common::Rng saved = rng;
+    const sparksim::ConfigVector a = step(original.get(), t);
+    rng = saved;  // both learners see the same runtime
+    const sparksim::ConfigVector b = step(restored.get(), t);
+    ASSERT_EQ(a, b) << "proposal diverged at round " << t;
+    ASSERT_EQ(original->centroid(), restored->centroid()) << "round " << t;
+  }
 }
 
 TEST_F(CentroidLearningTest, NameIsStable) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/find_best.h"
 #include "sparksim/synthetic.h"
 
 namespace rockhopper::core {
@@ -142,6 +143,60 @@ TEST(UpdateCentroidTest, ResultAlwaysInRange) {
   const sparksim::ConfigVector next =
       UpdateCentroid(space, edge, {1, -1, 1}, 5.0, true);
   EXPECT_TRUE(space.Validate(next).ok());
+}
+
+// Centroid Learning fits the window model once and hands it to FIND_BEST
+// and FIND_GRADIENT; that must pick the same c* and the same signs as the
+// standalone calls, which each fit their own model.
+TEST_F(FindGradientTest, SharedWindowModelMatchesStandaloneCalls) {
+  const sparksim::SyntheticFunction f = sparksim::SyntheticFunction::Default();
+  const sparksim::ConfigSpace& space = f.space();
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    common::Rng rng(100 + seed);
+    ObservationWindow w;
+    const sparksim::ConfigVector center = space.Sample(&rng);
+    for (int i = 0; i < 18; ++i) {
+      const sparksim::ConfigVector c = space.SampleNeighbor(center, 0.3, &rng);
+      const double p = rng.Uniform(0.5, 3.0);
+      w.push_back(Obs(c, p, f.Observe(c, p, sparksim::NoiseParams::High(),
+                                      &rng)));
+    }
+    const double reference = rng.Uniform(0.5, 3.0);
+    const double alpha = 0.1;
+    Result<Observation> standalone_best =
+        FindBest(space, w, FindBestVersion::kModelPredicted, reference);
+    ASSERT_TRUE(standalone_best.ok());
+    Result<GradientSigns> standalone_gradient =
+        FindGradient(space, w, GradientMethod::kModelSign,
+                     standalone_best->config, reference, alpha);
+    ASSERT_TRUE(standalone_gradient.ok());
+
+    const FeaturedCopy rows(space, w);
+    WindowModel model(&space);
+    ASSERT_TRUE(model.FitFeatures(rows.view()).ok());
+    Result<size_t> shared_best = FindBestIndex(
+        rows.view(), FindBestVersion::kModelPredicted, reference, &model);
+    ASSERT_TRUE(shared_best.ok());
+    EXPECT_EQ(w[*shared_best].config, standalone_best->config);
+    EXPECT_EQ(w[*shared_best].runtime, standalone_best->runtime);
+    Result<GradientSigns> shared_gradient =
+        FindGradient(space, rows.view(), GradientMethod::kModelSign,
+                     w[*shared_best].config, reference, alpha, &model);
+    ASSERT_TRUE(shared_gradient.ok());
+    EXPECT_EQ(*shared_gradient, *standalone_gradient);
+
+    // Without a model (a failed fit) FIND_BEST falls back to v2 and the
+    // model-sign gradient reports the failure.
+    Result<size_t> fallback = FindBestIndex(
+        rows.view(), FindBestVersion::kModelPredicted, reference, nullptr);
+    Result<Observation> normalized =
+        FindBest(space, w, FindBestVersion::kNormalized, reference);
+    ASSERT_TRUE(fallback.ok() && normalized.ok());
+    EXPECT_EQ(w[*fallback].config, normalized->config);
+    EXPECT_FALSE(FindGradient(space, rows.view(), GradientMethod::kModelSign,
+                              w[*fallback].config, reference, alpha, nullptr)
+                     .ok());
+  }
 }
 
 }  // namespace

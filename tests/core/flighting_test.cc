@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <set>
 
 #include "common/csv.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
@@ -154,9 +154,8 @@ TEST_F(FlightingTest, GenerationAlgorithmsYieldDifferentTraces) {
 TEST_F(FlightingTest, CsvRoundTrip) {
   const std::vector<FlightingRecord> records =
       pipeline_->Run(SmallConfig());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_trace.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("trace.csv");
   ASSERT_TRUE(pipeline_->ExportCsv(path, records).ok());
   Result<std::vector<FlightingRecord>> loaded = pipeline_->ImportCsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -171,9 +170,8 @@ TEST_F(FlightingTest, CsvRoundTrip) {
 }
 
 TEST_F(FlightingTest, ImportRejectsWrongSchema) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_bad.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("bad.csv");
   common::CsvTable bad;
   bad.header = {"a", "b"};
   bad.rows = {{"1", "2"}};

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
@@ -88,9 +89,8 @@ TEST(ObservationPersistenceTest, ExportImportRoundTrip) {
     store.Append(sig_a, o);
     if (i < 2) store.Append(sig_b, o);
   }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_obs.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("obs.csv");
   ASSERT_TRUE(ExportObservations(space, store, path).ok());
   Result<ImportedObservations> loaded = ImportObservations(space, path);
   ASSERT_TRUE(loaded.ok());
@@ -114,9 +114,8 @@ TEST(ObservationPersistenceTest, ImportRejectsWrongSchema) {
   ObservationStore store;
   Observation o = Obs(1.0);
   store.Append(1, o);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_obs2.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("obs2.csv");
   ASSERT_TRUE(ExportObservations(query, store, path).ok());
   EXPECT_FALSE(ImportObservations(joint, path).ok());
   std::remove(path.c_str());
@@ -137,9 +136,8 @@ TEST(ObservationPersistenceTest, ImportSkipsCorruptRowsWithCount) {
   csv << "\n7,3,0.0,40.0,0" << config_cells;       // zero data size
   csv << "\n7,4,inf,40.0,0" << config_cells;       // infinite data size
   csv << "\n7,5,1.0,45.0,1" << config_cells;       // good (failed run)
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_corrupt.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("corrupt.csv");
   {
     std::ofstream out(path);
     out << csv.str() << "\n";
@@ -161,9 +159,8 @@ TEST(ObservationPersistenceTest, ImportAcceptsPreFailedColumnFiles) {
   csv << "signature,iteration,data_size,runtime";
   for (const sparksim::ParamSpec& p : space.params()) csv << "," << p.name;
   csv << "\n9,0,1.0,25.0,100000,100000,100\n";
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_legacy.csv")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("legacy.csv");
   {
     std::ofstream out(path);
     out << csv.str();

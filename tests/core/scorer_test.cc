@@ -88,7 +88,7 @@ TEST_F(ScorerTest, SurrogateScorerLearnsFromHistory) {
   for (int i = 0; i < 30; ++i) {
     const sparksim::ConfigVector c = space_.Sample(&rng);
     history.push_back(Obs(c, 1.0, function_.TruePerformance(c, 1.0)));
-    scorer.Update(history);
+    scorer.Update(FeaturedCopy(space_, history).view());
   }
   // Candidates: optimum vs a far corner; GP should prefer the optimum.
   std::vector<sparksim::ConfigVector> candidates = {
@@ -140,7 +140,7 @@ TEST_F(ScorerTest, RegressorScorerUsesSvr) {
     const sparksim::ConfigVector c = space_.Sample(&rng);
     history.push_back(Obs(c, 1.0, function_.TruePerformance(c, 1.0)));
   }
-  scorer.Update(history);
+  scorer.Update(FeaturedCopy(space_, history).view());
   std::vector<sparksim::ConfigVector> candidates = {
       space_.Denormalize({0.99, 0.99, 0.99}), function_.optimum()};
   EXPECT_EQ(scorer.SelectBest(candidates, 1.0, 0.0), 1u);
@@ -150,7 +150,7 @@ TEST_F(ScorerTest, RegressorScorerBelowMinHistoryPicksFirst) {
   RegressorScorer scorer(space_, std::make_unique<ml::EpsilonSVR>(), "svr",
                          /*min_history=*/5);
   ObservationWindow tiny = {Obs(space_.Defaults(), 1.0, 10.0)};
-  scorer.Update(tiny);
+  scorer.Update(FeaturedCopy(space_, tiny).view());
   const auto candidates = SpreadCandidates(4, 7);
   EXPECT_EQ(scorer.SelectBest(candidates, 1.0, 0.0), 0u);
 }

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <limits>
 
 #include "core/journal.h"
 #include "sparksim/simulator.h"
 #include "sparksim/workloads.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
@@ -409,9 +409,8 @@ TEST_F(TuningServiceTest, ExplainQueryReportsTelemetryCounters) {
 }
 
 TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_journal.log")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("journal.log");
   std::remove(path.c_str());
   {
     Result<ObservationJournal> journal = ObservationJournal::Open(path);
@@ -434,9 +433,8 @@ TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
 }
 
 TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_recover.log")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("recover.log");
   std::remove(path.c_str());
   const sparksim::QueryPlan plan_a = sparksim::TpchPlan(9);
   const sparksim::QueryPlan plan_b = sparksim::TpchPlan(10);
@@ -470,9 +468,8 @@ TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
 }
 
 TEST_F(TuningServiceTest, RecoverFromJournalCountsUnknownSignatures) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_svc_unknown.log")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("unknown.log");
   std::remove(path.c_str());
   const sparksim::QueryPlan plan = sparksim::TpchPlan(11);
   {

@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <string>
@@ -16,6 +15,7 @@
 #include "sparksim/fault.h"
 #include "sparksim/simulator.h"
 #include "sparksim/workloads.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper {
 namespace {
@@ -177,9 +177,8 @@ TEST(ChaosTest, PersistentlyFailingSignatureIsQuarantined) {
 }
 
 TEST(ChaosTest, JournalKillAndRecoverRestoresCounts) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rockhopper_chaos_journal.log")
-          .string();
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("chaos_journal.log");
   std::remove(path.c_str());
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
   const sparksim::QueryPlan plan_a = sparksim::TpchPlan(1);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/archive.h"
 #include "common/rng.h"
 
 namespace rockhopper::ml {
@@ -234,27 +235,137 @@ TEST(GaussianProcessIncrementalTest, WindowSlideKeepsLastRows) {
   Dataset d = NoisyStream(10, &rng);
   GaussianProcessOptions options;
   options.max_rows = 10;
-  options.refit_interval = 0;
+  options.refit_interval = 1;
   options.min_incremental_rows = 0;
   GaussianProcessRegressor gp(options);
   ASSERT_TRUE(gp.Fit(d).ok());
-  // Push 5 more rows: the window must stay at 10 and match a fresh fit on
-  // the last 10 observations exactly (a slide forces a full refit).
+  // Push 5 more rows: the window must stay at 10, holding the last 10
+  // observations. With refit_interval = 1 every slide refits, so each one
+  // lands exactly on a fresh fit of those rows.
   common::Rng more_rng(32);
   Dataset more = NoisyStream(5, &more_rng);
+  Dataset last = d;
+  common::Rng q_rng(33);
   for (size_t i = 0; i < more.size(); ++i) {
     ASSERT_TRUE(gp.Update(more.x[i], more.y[i]).ok());
+    EXPECT_EQ(gp.num_training_rows(), 10u);
+    last.Add(more.x[i], more.y[i]);
+    last.TruncateToLast(10);
+    GaussianProcessRegressor fresh(options);
+    ASSERT_TRUE(fresh.Fit(last).ok());
+    for (int q = 0; q < 8; ++q) {
+      const std::vector<double> x = {q_rng.Uniform(0, 1), q_rng.Uniform(0, 1)};
+      const Prediction a = gp.PredictWithUncertainty(x);
+      const Prediction b = fresh.PredictWithUncertainty(x);
+      EXPECT_EQ(a.mean, b.mean);
+      EXPECT_EQ(a.stddev, b.stddev);
+    }
   }
-  EXPECT_EQ(gp.num_training_rows(), 10u);
-  Dataset last;
-  for (size_t i = 5; i < d.size(); ++i) last.Add(d.x[i], d.y[i]);
-  for (size_t i = 0; i < more.size(); ++i) last.Add(more.x[i], more.y[i]);
-  GaussianProcessRegressor fresh(options);
-  ASSERT_TRUE(fresh.Fit(last).ok());
-  common::Rng q_rng(33);
-  for (int i = 0; i < 8; ++i) {
-    const std::vector<double> q = {q_rng.Uniform(0, 1), q_rng.Uniform(0, 1)};
-    EXPECT_DOUBLE_EQ(gp.Predict(q), fresh.Predict(q));
+}
+
+// The production shape of the surrogate: a 15-row window (below
+// min_incremental_rows, so the growth phase refits) that then slides. Each
+// slide is a rank-1 update plus a row-append of the factor; after hundreds
+// of them the posterior must still match the O(n^3) factorization of the
+// same window at the same hyperparameters.
+TEST(GaussianProcessIncrementalTest, SlidesMatchFullFactorization) {
+  GaussianProcessOptions options;
+  options.max_rows = 15;
+  options.refit_interval = 0;         // hyperparameters stay fixed
+  options.scaler_drift_zscore = 0.0;  // so does the scaling
+  GaussianProcessRegressor gp(options);
+  common::Rng rng(51);
+  const auto row = [&rng] {
+    return std::vector<double>{rng.Uniform(0, 1), rng.Uniform(0, 1),
+                               rng.Uniform(0, 1), rng.Uniform(0, 1)};
+  };
+  for (int i = 0; i < 15; ++i) {
+    const std::vector<double> x = row();
+    ASSERT_TRUE(gp.Update(x, std::sin(3.0 * x[0]) + x[1] * x[2]).ok());
+  }
+  common::Matrix probes;
+  for (int i = 0; i < 32; ++i) probes.AppendRow(row());
+  for (int slide = 1; slide <= 250; ++slide) {
+    const std::vector<double> x = row();
+    ASSERT_TRUE(
+        gp.Update(x, std::sin(3.0 * x[0]) + x[1] * x[2] +
+                         rng.Uniform(-0.1, 0.1))
+            .ok());
+    ASSERT_EQ(gp.num_training_rows(), 15u);
+    ASSERT_EQ(gp.updates_since_refit(), slide);  // never a full refit
+    if (slide % 50 != 0) continue;
+    GaussianProcessRegressor full = gp;
+    ASSERT_TRUE(full.ForceFullFactorization().ok());
+    const std::vector<Prediction> a = gp.PredictBatch(probes);
+    const std::vector<Prediction> b = full.PredictBatch(probes);
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_NEAR(a[i].mean, b[i].mean, 1e-9);
+      EXPECT_NEAR(a[i].stddev * a[i].stddev, b[i].stddev * b[i].stddev,
+                  1e-9);
+    }
+    EXPECT_NEAR(gp.log_marginal_likelihood(), full.log_marginal_likelihood(),
+                1e-9 * std::abs(full.log_marginal_likelihood()));
+  }
+}
+
+// A caller-driven slide (drop_oldest) and a max_rows-driven one are the same
+// step.
+TEST(GaussianProcessIncrementalTest, CallerSlideEqualsMaxRowsSlide) {
+  GaussianProcessOptions capped;
+  capped.max_rows = 12;
+  GaussianProcessOptions uncapped;
+  GaussianProcessRegressor by_cap(capped), by_caller(uncapped);
+  common::Rng rng(61);
+  Dataset d = NoisyStream(60, &rng);
+  for (size_t i = 0; i < d.size(); ++i) {
+    ASSERT_TRUE(by_cap.Update(d.x[i], d.y[i]).ok());
+    ASSERT_TRUE(by_caller.Update(d.x[i], d.y[i], /*drop_oldest=*/i >= 12).ok());
+  }
+  EXPECT_EQ(by_caller.num_training_rows(), 12u);
+  common::Rng q_rng(62);
+  for (int q = 0; q < 8; ++q) {
+    const std::vector<double> x = {q_rng.Uniform(0, 1), q_rng.Uniform(0, 1)};
+    const Prediction a = by_cap.PredictWithUncertainty(x);
+    const Prediction b = by_caller.PredictWithUncertainty(x);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.stddev, b.stddev);
+  }
+}
+
+// Evicting a sliding GP mid-stream and faulting it back in must not perturb
+// anything that follows.
+TEST(GaussianProcessIncrementalTest, SaveLoadMidSlideIsBitIdentical) {
+  GaussianProcessOptions options;
+  options.max_rows = 15;
+  GaussianProcessRegressor gp(options);
+  common::Rng rng(71);
+  Dataset d = NoisyStream(160, &rng);
+  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(gp.Update(d.x[i], d.y[i]).ok());
+  ASSERT_GT(gp.updates_since_refit(), 0);  // mid-way between refits
+  common::ArchiveWriter writer;
+  ASSERT_TRUE(gp.Save("gp", &writer).ok());
+  Result<common::ArchiveReader> reader =
+      common::ArchiveReader::Parse(writer.Finish());
+  ASSERT_TRUE(reader.ok());
+  GaussianProcessRegressor loaded(options);
+  ASSERT_TRUE(loaded.Load("gp", *reader).ok());
+  common::Matrix probes;
+  common::Rng q_rng(72);
+  for (int i = 0; i < 16; ++i) {
+    probes.AppendRow(std::vector<double>{q_rng.Uniform(0, 1),
+                                         q_rng.Uniform(0, 1)});
+  }
+  for (size_t i = 100; i < d.size(); ++i) {
+    ASSERT_TRUE(gp.Update(d.x[i], d.y[i]).ok());
+    ASSERT_TRUE(loaded.Update(d.x[i], d.y[i]).ok());
+    EXPECT_EQ(gp.updates_since_refit(), loaded.updates_since_refit());
+    EXPECT_EQ(gp.log_marginal_likelihood(), loaded.log_marginal_likelihood());
+    const std::vector<Prediction> a = gp.PredictBatch(probes);
+    const std::vector<Prediction> b = loaded.PredictBatch(probes);
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].mean, b[j].mean);
+      EXPECT_EQ(a[j].stddev, b[j].stddev);
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -12,24 +11,28 @@
 #include "sim/service_digest.h"
 #include "sim/trace.h"
 #include "sparksim/config_space.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::sim {
 namespace {
 
-// Small-but-complete runs: every phase (serve, crash, recover, serve again)
-// still happens, just with fewer events so the suite stays fast.
-SimulationOptions SmallRun(uint64_t seed) {
-  SimulationOptions options;
-  options.seed = seed;
-  options.tenants = 2;
-  options.events_per_tenant = 10;
-  options.scratch_dir =
-      (std::filesystem::temp_directory_path() / "rockhopper-sim-test")
-          .string();
-  return options;
-}
+class SimRunnerTest : public ::testing::Test {
+ protected:
+  // Small-but-complete runs: every phase (serve, crash, recover, serve
+  // again) still happens, just with fewer events so the suite stays fast.
+  SimulationOptions SmallRun(uint64_t seed) const {
+    SimulationOptions options;
+    options.seed = seed;
+    options.tenants = 2;
+    options.events_per_tenant = 10;
+    options.scratch_dir = dir_.path().string();
+    return options;
+  }
 
-TEST(SimRunnerTest, SeedsPassInvariants) {
+  test_support::TestTempDir dir_;
+};
+
+TEST_F(SimRunnerTest, SeedsPassInvariants) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     const SimulationReport report = RunSimulation(SmallRun(seed));
     EXPECT_TRUE(report.passed()) << report.Summary();
@@ -40,7 +43,7 @@ TEST(SimRunnerTest, SeedsPassInvariants) {
   }
 }
 
-TEST(SimRunnerTest, SameSeedIsByteReproducible) {
+TEST_F(SimRunnerTest, SameSeedIsByteReproducible) {
   const SimulationReport first = RunSimulation(SmallRun(42));
   const SimulationReport second = RunSimulation(SmallRun(42));
   EXPECT_EQ(first.Summary(), second.Summary());
@@ -48,13 +51,13 @@ TEST(SimRunnerTest, SameSeedIsByteReproducible) {
   EXPECT_EQ(first.final_digest, second.final_digest);
 }
 
-TEST(SimRunnerTest, DifferentSeedsDiverge) {
+TEST_F(SimRunnerTest, DifferentSeedsDiverge) {
   const SimulationReport a = RunSimulation(SmallRun(1));
   const SimulationReport b = RunSimulation(SmallRun(2));
   EXPECT_NE(a.final_digest, b.final_digest);
 }
 
-TEST(SimRunnerTest, ChaosOffStillPasses) {
+TEST_F(SimRunnerTest, ChaosOffStillPasses) {
   SimulationOptions options = SmallRun(9);
   options.chaos = false;
   options.buggify = false;
@@ -66,11 +69,9 @@ TEST(SimRunnerTest, ChaosOffStillPasses) {
   EXPECT_EQ(report.sim_dropped, 0u);
 }
 
-TEST(SimRunnerTest, RecordedTraceReplaysDeterministically) {
+TEST_F(SimRunnerTest, RecordedTraceReplaysDeterministically) {
   SimulationOptions options = SmallRun(11);
-  options.trace_path =
-      (std::filesystem::temp_directory_path() / "rockhopper-sim-test.trace")
-          .string();
+  options.trace_path = dir_.File("sim.trace");
   const SimulationReport report = RunSimulation(options);
   EXPECT_TRUE(report.passed()) << report.Summary();
 
