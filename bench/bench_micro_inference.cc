@@ -1,8 +1,10 @@
 // Micro-benchmarks for the paper's "reducing inference latency" design goal
 // (§3.1): candidate generation, surrogate prediction, acquisition scoring,
 // embedding computation, cost-model evaluation, and the full Centroid
-// Learning propose step — the work on a query's critical submission path.
+// Learning propose step — the work on a query's critical submission path —
+// and the transfer tier's HNSW flush + search pattern on a cold arrival.
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "core/embedding.h"
 #include "core/window_model.h"
 #include "ml/gaussian_process.h"
+#include "ml/hnsw_index.h"
 #include "ml/kernel.h"
 #include "ml/scaler.h"
 #include "sparksim/cost_model.h"
@@ -359,6 +362,85 @@ void BM_CentroidLearnerObserveSurrogate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentroidLearnerObserveSurrogate);
+
+// The transfer tier's production pattern: fault-ins stage about 13
+// registrations between cold-arrival consults, and each consult flushes them
+// into the graph and then searches (TransferIndex::Neighbors asks for k + 1
+// = 9). Reports the flush cost per inserted vector and the search cost.
+void RunHnswFlushPattern(benchmark::State& state,
+                         const std::vector<std::vector<double>>& data) {
+  constexpr size_t kBatch = 13;
+  ml::HnswOptions options;
+  options.dim = data.front().size();
+  double flush_s = 0.0;
+  double search_s = 0.0;
+  size_t searches = 0;
+  for (auto _ : state) {
+    ml::HnswIndex index(options);
+    for (size_t begin = 0; begin + kBatch < data.size(); begin += kBatch) {
+      for (size_t i = begin; i < begin + kBatch; ++i) {
+        (void)index.Insert(i + 1, data[i]);
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      index.Flush();
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(index.Search(data[begin + kBatch], 9));
+      const auto t2 = std::chrono::steady_clock::now();
+      flush_s += std::chrono::duration<double>(t1 - t0).count();
+      search_s += std::chrono::duration<double>(t2 - t1).count();
+      ++searches;
+    }
+  }
+  state.counters["flush_us_per_insert"] =
+      1e6 * flush_s / static_cast<double>(searches * kBatch);
+  state.counters["search_us"] = 1e6 * search_s / static_cast<double>(searches);
+}
+
+// 6400 plan embeddings: each plan fills about a dozen of the 252 columns.
+void BM_HnswFlushPlanEmbeddings(benchmark::State& state) {
+  static const std::vector<std::vector<double>> data = [] {
+    common::Rng rng(6400);
+    const EmbeddingOptions options;
+    std::vector<std::vector<double>> out;
+    for (int i = 0; i < 6400; ++i) {
+      out.push_back(
+          ComputeEmbedding(GeneratePlan(PlanProfile{}, &rng), options));
+    }
+    return out;
+  }();
+  RunHnswFlushPattern(state, data);
+}
+BENCHMARK(BM_HnswFlushPlanEmbeddings)->Unit(benchmark::kMillisecond);
+
+// 6400 vectors of the same shape whose operator counts are scattered over
+// every column (bench_transfer_ann's sampler): the layout cannot drop any.
+void BM_HnswFlushUniform(benchmark::State& state) {
+  static const std::vector<std::vector<double>> data = [] {
+    const size_t dim = EmbeddingLength(EmbeddingOptions{});
+    common::Rng rng(6401);
+    std::vector<std::vector<double>> templates(64);
+    for (std::vector<double>& t : templates) {
+      t.assign(dim, 0.0);
+      t[0] = rng.Uniform() * 35.0;
+      t[1] = t[0] + rng.Uniform() * 6.0;
+      const size_t operators = 3 + rng.Index(10);
+      for (size_t i = 0; i < operators; ++i) {
+        t[2 + rng.Index(dim - 2)] += 1.0 + static_cast<double>(rng.Index(5));
+      }
+    }
+    std::vector<std::vector<double>> out;
+    for (int i = 0; i < 6400; ++i) {
+      std::vector<double> v = templates[rng.Index(templates.size())];
+      v[0] += rng.Normal() * 0.4;
+      v[1] += rng.Normal() * 0.4;
+      if (rng.Index(4) == 0) v[2 + rng.Index(dim - 2)] += 1.0;
+      out.push_back(std::move(v));
+    }
+    return out;
+  }();
+  RunHnswFlushPattern(state, data);
+}
+BENCHMARK(BM_HnswFlushUniform)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

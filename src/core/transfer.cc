@@ -23,45 +23,45 @@ TransferIndex::TransferIndex(size_t dim, TransferOptions options)
       }()),
       metrics_(&ServiceMetrics::Get()) {}
 
-void TransferIndex::SetThreadPool(common::ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pool_ = pool;
-}
-
 Status TransferIndex::Register(uint64_t signature,
                                const std::vector<double>& embedding) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Status status = index_.Insert(signature, embedding);
+  // Validate reads only the index's fixed dimension: no mu_ needed.
+  const Status status = index_.Validate(embedding);
   if (!status.ok()) {
     metrics_->transfer_rejected_embeddings->Increment();
     return status;
   }
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    staged_.emplace_back(signature, embedding);
+  }
   metrics_->transfer_inserts->Increment();
-  metrics_->transfer_index_size->Set(static_cast<double>(index_.Size()));
-  MaybeScheduleFlushLocked();
   return Status::OK();
 }
 
-void TransferIndex::MaybeScheduleFlushLocked() {
-  if (pool_ == nullptr || flush_scheduled_ ||
-      index_.PendingSize() < options_.insert_batch) {
-    return;
+void TransferIndex::DrainLocked() const {
+  std::vector<std::pair<uint64_t, std::vector<double>>> staged;
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    staged.swap(staged_);
   }
-  flush_scheduled_ = true;
-  pool_->Submit([this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlushLocked();
-    flush_scheduled_ = false;
-  });
+  if (staged.empty()) return;
+  // Validated by Register; a known signature is an OK no-op.
+  for (const auto& [signature, embedding] : staged) {
+    (void)index_.Insert(signature, embedding);
+  }
+  metrics_->transfer_index_size->Set(static_cast<double>(index_.Size()));
 }
 
 void TransferIndex::FlushLocked() {
+  DrainLocked();
   if (index_.PendingSize() == 0) return;
   ScopedSpan span(metrics_->transfer_insert_seconds);
   // The graph build itself stays single-threaded here: waves parallelize
   // through Flush(pool), but running them on the pool that also carries the
-  // ingest load would let an index rebuild starve proposals. The batch sizes
-  // this tier sees (insert_batch) build in well under a millisecond.
+  // ingest load would let an index rebuild starve proposals. A flush builds
+  // the registrations staged since the last consult, each of which costs
+  // about one ef_construction beam search.
   index_.Flush();
 }
 
@@ -129,37 +129,44 @@ std::vector<TransferNeighbor> TransferIndex::Neighbors(
 std::vector<TransferNeighbor> TransferIndex::ExactNeighbors(
     const std::vector<double>& embedding, size_t k, uint64_t exclude) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return SearchLocked(embedding, k, exclude, /*exact=*/true);
 }
 
 size_t TransferIndex::Size() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return index_.Size();
 }
 
 size_t TransferIndex::ApproxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return index_.ApproxBytes();
 }
 
 std::string TransferIndex::ContentDigest() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return index_.ContentDigest();
 }
 
 std::string TransferIndex::CanonicalGraphDigest() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return index_.CanonicalGraphDigest();
 }
 
 Result<std::string> TransferIndex::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   return index_.Serialize();
 }
 
 Status TransferIndex::Load(const std::string& artifact,
                            const std::vector<uint64_t>* keep) {
   std::lock_guard<std::mutex> lock(mu_);
+  DrainLocked();
   const Status status = index_.Load(artifact, keep);
   if (status.ok()) {
     metrics_->transfer_index_size->Set(static_cast<double>(index_.Size()));

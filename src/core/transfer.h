@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "ml/hnsw_index.h"
 
 namespace rockhopper::core {
@@ -48,11 +48,6 @@ struct TransferOptions {
   size_t seed_observations_per_neighbor = 4;
   /// Cap on total borrowed observations per cold start.
   size_t max_seed_observations = 24;
-  /// Registered embeddings are staged; once this many are pending a graph
-  /// flush is scheduled on the service thread pool (or folded into the next
-  /// search when no pool is attached), keeping inserts off the ingest
-  /// critical path.
-  size_t insert_batch = 64;
   /// HNSW shape (see ml/hnsw_index.h).
   int max_neighbors = 16;
   int ef_construction = 128;
@@ -71,17 +66,17 @@ struct TransferNeighbor {
 /// Thread-safe facade over HnswIndex for TuningService: registration
 /// staging + batched flushes, radius-filtered neighbor retrieval with
 /// sampled recall probes, ServiceMetrics instrumentation, and content-
-/// addressed persistence. All methods are safe from any thread; internally
-/// one mutex serializes index access (searches are sub-millisecond even at
-/// 1M signatures, see BENCH_ann.json).
+/// addressed persistence. All methods are safe from any thread.
+///
+/// Two mutexes: Register only appends to a staging list under a briefly
+/// held one, so a caller that holds its own lock (a fault-in holds its
+/// shard's) never waits on a graph flush. Every other method takes the
+/// index mutex, drains the staging list into the index, then reads it; the
+/// graph itself is built inside Neighbors (or Flush), one flush per consult
+/// over the registrations staged since the last.
 class TransferIndex {
  public:
   TransferIndex(size_t dim, TransferOptions options);
-
-  /// Attaches the pool used for background batch flushes. May be null
-  /// (flushes then fold into the next search). The pool must outlive this
-  /// index or be detached (SetThreadPool(nullptr) + pool Wait) first.
-  void SetThreadPool(common::ThreadPool* pool);
 
   /// Stages the signature's embedding for indexing. Idempotent per
   /// signature. kInvalidArgument on non-finite embeddings (corrupted
@@ -89,8 +84,8 @@ class TransferIndex {
   Status Register(uint64_t signature, const std::vector<double>& embedding);
 
   /// The k nearest registered signatures within max_distance, excluding
-  /// `exclude`, nearest first. Drains any staged inserts first so a
-  /// just-registered neighbor is immediately retrievable.
+  /// `exclude`, nearest first. Flushes staged registrations into the graph
+  /// first so a just-registered neighbor is immediately retrievable.
   std::vector<TransferNeighbor> Neighbors(const std::vector<double>& embedding,
                                           size_t k, uint64_t exclude);
 
@@ -100,7 +95,7 @@ class TransferIndex {
   std::vector<TransferNeighbor> ExactNeighbors(
       const std::vector<double>& embedding, size_t k, uint64_t exclude);
 
-  /// Synchronously drains staged inserts into the graph.
+  /// Synchronously builds staged registrations into the graph.
   void Flush();
 
   size_t Size() const;
@@ -125,22 +120,28 @@ class TransferIndex {
   size_t dim() const { return dim_; }
 
  private:
+  /// Moves staged registrations into index_ (which stages them for its
+  /// next Flush). Requires mu_.
+  void DrainLocked() const;
   std::vector<TransferNeighbor> SearchLocked(
       const std::vector<double>& embedding, size_t k, uint64_t exclude,
       bool exact);
-  void MaybeScheduleFlushLocked();
   void FlushLocked();
 
   const size_t dim_;
   const TransferOptions options_;
   const double norm_;  ///< sqrt(dim), the distance normalizer
 
+  // Lock order: mu_, then stage_mu_.
   mutable std::mutex mu_;
-  ml::HnswIndex index_;
-  common::ThreadPool* pool_ = nullptr;
-  bool flush_scheduled_ = false;
+  // Staged registrations are already part of the content, so const readers
+  // drain them into the index.
+  mutable ml::HnswIndex index_;
   uint64_t searches_ = 0;
   ServiceMetrics* metrics_;
+
+  mutable std::mutex stage_mu_;
+  mutable std::vector<std::pair<uint64_t, std::vector<double>>> staged_;
 };
 
 }  // namespace rockhopper::core

@@ -307,6 +307,9 @@ Result<TuningService::GuardrailCounts> TuningService::GuardrailState(
 
 Status TuningService::Shutdown() {
   StopStateSweeper();
+  // Build the registrations still staged, so the transfer index and its
+  // size gauge hold every signature the service has seen.
+  if (transfer_ != nullptr) transfer_->Flush();
   if (journal_ == nullptr) return Status::OK();
   ObservationJournal* journal = journal_;
   journal_ = nullptr;

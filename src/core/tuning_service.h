@@ -414,12 +414,6 @@ class TuningService {
   TransferIndex* transfer_index() { return transfer_.get(); }
   const TransferIndex* transfer_index() const { return transfer_.get(); }
 
-  /// Routes the transfer tier's background batch flushes onto `pool`
-  /// (nullptr detaches; then staged inserts fold into the next search).
-  void SetTransferThreadPool(common::ThreadPool* pool) {
-    if (transfer_ != nullptr) transfer_->SetThreadPool(pool);
-  }
-
   /// The configuration this signature's tuner currently believes in: its
   /// centroid, or the defaults when the signature is disabled/unknown-cold.
   /// NotFound before the signature's first contact. Used by the transfer

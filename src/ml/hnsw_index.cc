@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 
@@ -34,6 +33,76 @@ VisitedTable& VisitedScratch(size_t n) {
     table.epoch = 1;
   }
   return table;
+}
+
+// Reusable per-thread beam heaps, driven by std::push_heap / std::pop_heap
+// exactly as std::priority_queue would drive them.
+using HeapItem = std::pair<double, uint32_t>;
+struct BeamHeaps {
+  std::vector<HeapItem> frontier;  // nearest on top: std::greater
+  std::vector<HeapItem> best;      // farthest on top: std::less
+};
+
+BeamHeaps& BeamScratch() {
+  thread_local BeamHeaps heaps;
+  heaps.frontier.clear();
+  heaps.best.clear();
+  return heaps;
+}
+
+// Fixed-order accumulation (4 independent lanes, tail columns into lane 0)
+// so equal float inputs produce bit-equal distances on every path. Serves
+// both the dense width (dim) and the stored layout's (a multiple of 4): a
+// column the layout drops is +0.0f in every stored vector and (when the
+// query is viewed in that layout) ±0 in the query, so its term is +0.0 and
+// adding it leaves the non-negative lane sum unchanged. The layout keeps
+// every other term in its lane and order, so both widths agree bit for bit.
+double Distance(const float* a, const float* b, size_t width) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= width; i += 4) {
+    const double d0 = static_cast<double>(a[i]) - b[i];
+    const double d1 = static_cast<double>(a[i + 1]) - b[i + 1];
+    const double d2 = static_cast<double>(a[i + 2]) - b[i + 2];
+    const double d3 = static_cast<double>(a[i + 3]) - b[i + 3];
+    s0 += d0 * d0;
+    s1 += d1 * d1;
+    s2 += d2 * d2;
+    s3 += d3 * d3;
+  }
+  for (; i < width; ++i) {
+    const double d = static_cast<double>(a[i]) - b[i];
+    s0 += d * d;
+  }
+  return std::sqrt(((s0 + s1) + s2) + s3);
+}
+
+// Bit test rather than `!= 0.0f`, so that a stored -0.0f keeps its column
+// and round-trips through the layout.
+bool IsPositiveZero(float v) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits == 0;
+}
+
+// Stored layout <-> dense columns; layout[p] is the column at position p.
+void Project(const std::vector<int32_t>& layout, const float* dense,
+             float* stored) {
+  for (size_t p = 0; p < layout.size(); ++p) {
+    stored[p] = layout[p] < 0 ? 0.0f : dense[layout[p]];
+  }
+}
+
+void Expand(const std::vector<int32_t>& layout, const float* stored,
+            size_t dim, float* dense) {
+  std::fill(dense, dense + dim, 0.0f);
+  for (size_t p = 0; p < layout.size(); ++p) {
+    if (layout[p] >= 0) dense[layout[p]] = stored[p];
+  }
+}
+
+std::vector<float> Quantize(const std::vector<double>& v) {
+  return std::vector<float>(v.begin(), v.end());
 }
 
 void AppendU64(std::string* out, uint64_t v) {
@@ -71,6 +140,7 @@ HnswIndex::HnswIndex(HnswOptions options) : options_(options) {
   options_.ef_search = std::max(1, options_.ef_search);
   options_.max_wave = std::max<size_t>(1, options_.max_wave);
   dim_ = options_.dim;
+  active_.assign(dim_, false);
 }
 
 int HnswIndex::LevelFor(uint64_t id) const {
@@ -84,26 +154,71 @@ int HnswIndex::LevelFor(uint64_t id) const {
   return std::min(level, 30);
 }
 
-double HnswIndex::Distance(const float* a, const float* b) const {
-  // Fixed-order accumulation (4 independent lanes + tail) so equal float
-  // inputs produce bit-equal distances on every path.
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= dim_; i += 4) {
-    const double d0 = static_cast<double>(a[i]) - b[i];
-    const double d1 = static_cast<double>(a[i + 1]) - b[i + 1];
-    const double d2 = static_cast<double>(a[i + 2]) - b[i + 2];
-    const double d3 = static_cast<double>(a[i + 3]) - b[i + 3];
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
+void HnswIndex::ExpandSlot(uint32_t slot, float* dense) const {
+  Expand(layout_, Slot(slot), dim_, dense);
+}
+
+const float* HnswIndex::DenseVector(uint64_t id,
+                                    std::vector<float>* buffer) const {
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return pending_.at(id).data();
+  ExpandSlot(it->second, buffer->data());
+  return buffer->data();
+}
+
+HnswIndex::QueryView HnswIndex::View(const std::vector<float>& query,
+                                     std::vector<float>* projected) const {
+  for (size_t c = 0; c < dim_; ++c) {
+    if (query[c] != 0.0f && !active_[c]) return QueryView{query.data(), true};
   }
-  for (; i < dim_; ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    s0 += d * d;
+  projected->resize(stride_);
+  Project(layout_, query.data(), projected->data());
+  return QueryView{projected->data(), false};
+}
+
+double HnswIndex::DistanceTo(const QueryView& query, uint32_t slot) const {
+  if (!query.dense) return Distance(query.values, Slot(slot), stride_);
+  thread_local std::vector<float> expanded;
+  expanded.resize(dim_);
+  ExpandSlot(slot, expanded.data());
+  return Distance(query.values, expanded.data(), dim_);
+}
+
+void HnswIndex::ActivatePendingColumns() {
+  std::vector<bool> active = active_;
+  for (const auto& [id, vec] : pending_) {
+    for (size_t c = 0; c < dim_; ++c) {
+      if (!IsPositiveZero(vec[c])) active[c] = true;
+    }
   }
-  return std::sqrt(((s0 + s1) + s2) + s3);
+  if (active == active_) return;
+  // Lane k takes its active columns in ascending order; pad to the longest.
+  const size_t body = dim_ - dim_ % 4;
+  std::vector<int32_t> lanes[4];
+  for (size_t c = 0; c < dim_; ++c) {
+    if (!active[c]) continue;
+    lanes[c < body ? c % 4 : 0].push_back(static_cast<int32_t>(c));
+  }
+  size_t lane_length = 0;
+  for (const auto& lane : lanes) {
+    lane_length = std::max(lane_length, lane.size());
+  }
+  std::vector<int32_t> layout(4 * lane_length, -1);
+  for (size_t k = 0; k < 4; ++k) {
+    for (size_t j = 0; j < lanes[k].size(); ++j) {
+      layout[4 * j + k] = lanes[k][j];
+    }
+  }
+  std::vector<float> relaid(ids_.size() * layout.size());
+  std::vector<float> dense(dim_);
+  for (uint32_t slot = 0; slot < ids_.size(); ++slot) {
+    ExpandSlot(slot, dense.data());
+    Project(layout, dense.data(), relaid.data() + slot * layout.size());
+  }
+  active_ = std::move(active);
+  layout_ = std::move(layout);
+  stride_ = layout_.size();
+  vectors_ = std::move(relaid);
 }
 
 const uint32_t* HnswIndex::LinkData(uint32_t slot, int layer) const {
@@ -134,17 +249,17 @@ void HnswIndex::SetLinks(uint32_t slot, int layer,
   upper_[slot][static_cast<size_t>(layer) - 1] = links;
 }
 
-uint32_t HnswIndex::GreedyDescend(const float* query, uint32_t start,
+uint32_t HnswIndex::GreedyDescend(const QueryView& query, uint32_t start,
                                   int layer) const {
   uint32_t cur = start;
-  double best = Distance(query, Slot(cur));
+  double best = DistanceTo(query, cur);
   bool improved = true;
   while (improved) {
     improved = false;
     const uint32_t* nb = LinkData(cur, layer);
     const size_t n = LinkCount(cur, layer);
     for (size_t i = 0; i < n; ++i) {
-      const double d = Distance(query, Slot(nb[i]));
+      const double d = DistanceTo(query, nb[i]);
       if (d < best) {
         best = d;
         cur = nb[i];
@@ -155,44 +270,50 @@ uint32_t HnswIndex::GreedyDescend(const float* query, uint32_t start,
   return cur;
 }
 
-std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
-                                                         uint32_t entry,
-                                                         size_t ef,
-                                                         int layer) const {
+std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(
+    const QueryView& query, uint32_t entry, size_t ef, int layer) const {
   VisitedTable& vis = VisitedScratch(ids_.size());
-  using HeapItem = std::pair<double, uint32_t>;
   // Frontier: nearest-first expansion. Best: farthest-first bounded result.
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-      frontier;
-  std::priority_queue<HeapItem> best;
-  const double d0 = Distance(query, Slot(entry));
-  frontier.emplace(d0, entry);
-  best.emplace(d0, entry);
+  BeamHeaps& heaps = BeamScratch();
+  std::vector<HeapItem>& frontier = heaps.frontier;
+  std::vector<HeapItem>& best = heaps.best;
+  const auto push_frontier = [&frontier](double d, uint32_t slot) {
+    frontier.emplace_back(d, slot);
+    std::push_heap(frontier.begin(), frontier.end(), std::greater<HeapItem>());
+  };
+  const auto push_best = [&best](double d, uint32_t slot) {
+    best.emplace_back(d, slot);
+    std::push_heap(best.begin(), best.end(), std::less<HeapItem>());
+  };
+  const double d0 = DistanceTo(query, entry);
+  push_frontier(d0, entry);
+  push_best(d0, entry);
   vis.mark[entry] = vis.epoch;
   while (!frontier.empty()) {
-    const auto [d, slot] = frontier.top();
-    frontier.pop();
-    if (best.size() >= ef && d > best.top().first) break;
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<HeapItem>());
+    const auto [d, slot] = frontier.back();
+    frontier.pop_back();
+    if (best.size() >= ef && d > best.front().first) break;
     const uint32_t* nb = LinkData(slot, layer);
     const size_t n = LinkCount(slot, layer);
     for (size_t i = 0; i < n; ++i) {
       const uint32_t next = nb[i];
       if (vis.mark[next] == vis.epoch) continue;
       vis.mark[next] = vis.epoch;
-      const double dn = Distance(query, Slot(next));
-      if (best.size() < ef || dn < best.top().first) {
-        frontier.emplace(dn, next);
-        best.emplace(dn, next);
-        if (best.size() > ef) best.pop();
+      const double dn = DistanceTo(query, next);
+      if (best.size() < ef || dn < best.front().first) {
+        push_frontier(dn, next);
+        push_best(dn, next);
+        if (best.size() > ef) {
+          std::pop_heap(best.begin(), best.end(), std::less<HeapItem>());
+          best.pop_back();
+        }
       }
     }
   }
   std::vector<Candidate> out;
   out.reserve(best.size());
-  while (!best.empty()) {
-    out.push_back(Candidate{best.top().first, best.top().second});
-    best.pop();
-  }
+  for (const auto& [d, slot] : best) out.push_back(Candidate{d, slot});
   std::sort(out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
     return a.distance != b.distance ? a.distance < b.distance
                                     : a.slot < b.slot;
@@ -213,7 +334,7 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
     if (kept.size() >= m) break;
     bool good = true;
     for (const uint32_t r : kept) {
-      if (Distance(Slot(c.slot), Slot(r)) < c.distance) {
+      if (Distance(Slot(c.slot), Slot(r), stride_) < c.distance) {
         good = false;
         break;
       }
@@ -244,9 +365,11 @@ void HnswIndex::LinkInto(uint32_t slot, uint32_t neighbor, int layer) {
   cands.reserve(n + 1);
   const uint32_t* links = LinkData(slot, layer);
   for (size_t i = 0; i < n; ++i) {
-    cands.push_back(Candidate{Distance(Slot(slot), Slot(links[i])), links[i]});
+    cands.push_back(
+        Candidate{Distance(Slot(slot), Slot(links[i]), stride_), links[i]});
   }
-  cands.push_back(Candidate{Distance(Slot(slot), Slot(neighbor)), neighbor});
+  cands.push_back(
+      Candidate{Distance(Slot(slot), Slot(neighbor), stride_), neighbor});
   std::sort(cands.begin(), cands.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.distance != b.distance ? a.distance < b.distance
@@ -255,7 +378,7 @@ void HnswIndex::LinkInto(uint32_t slot, uint32_t neighbor, int layer) {
   SetLinks(slot, layer, SelectNeighbors(Slot(slot), cands, cap));
 }
 
-Status HnswIndex::Insert(uint64_t id, const std::vector<double>& vector) {
+Status HnswIndex::Validate(const std::vector<double>& vector) const {
   if (vector.size() != dim_) {
     return Status::InvalidArgument("hnsw: vector dimension " +
                                    std::to_string(vector.size()) +
@@ -268,12 +391,14 @@ Status HnswIndex::Insert(uint64_t id, const std::vector<double>& vector) {
           "hnsw: non-finite vector component rejected");
     }
   }
+  return Status::OK();
+}
+
+Status HnswIndex::Insert(uint64_t id, const std::vector<double>& vector) {
+  const Status status = Validate(vector);
+  if (!status.ok()) return status;
   if (Contains(id)) return Status::OK();
-  std::vector<float> quantized(dim_);
-  for (size_t i = 0; i < dim_; ++i) {
-    quantized[i] = static_cast<float>(vector[i]);
-  }
-  pending_.emplace(id, std::move(quantized));
+  pending_.emplace(id, Quantize(vector));
   return Status::OK();
 }
 
@@ -292,7 +417,9 @@ void HnswIndex::BuildWave(const std::vector<uint64_t>& wave,
   for (const uint64_t id : wave) {
     const uint32_t slot = static_cast<uint32_t>(ids_.size());
     auto it = pending_.find(id);
-    vectors_.insert(vectors_.end(), it->second.begin(), it->second.end());
+    vectors_.resize(vectors_.size() + stride_);
+    Project(layout_, it->second.data(),
+            vectors_.data() + vectors_.size() - stride_);
     ids_.push_back(id);
     const int level = LevelFor(id);
     levels_.push_back(level);
@@ -313,7 +440,7 @@ void HnswIndex::BuildWave(const std::vector<uint64_t>& wave,
   auto search_one = [&](size_t i) {
     if (frozen_count == 0) return;
     const uint32_t slot = base + static_cast<uint32_t>(i);
-    const float* q = Slot(slot);
+    const QueryView q{Slot(slot), false};
     const int level = levels_[slot];
     uint32_t ep = frozen_entry;
     for (int l = frozen_top; l > level; --l) ep = GreedyDescend(q, ep, l);
@@ -353,6 +480,7 @@ void HnswIndex::BuildWave(const std::vector<uint64_t>& wave,
 }
 
 void HnswIndex::Flush(common::ThreadPool* pool) {
+  ActivatePendingColumns();
   while (!pending_.empty()) {
     const size_t built = ids_.size();
     // Serial bootstrap while the graph is tiny, then waves capped at 1/8 of
@@ -377,17 +505,18 @@ std::vector<HnswNeighbor> HnswIndex::Search(const std::vector<double>& query,
                                             size_t k) const {
   std::vector<HnswNeighbor> out;
   if (k == 0 || query.size() != dim_) return out;
-  std::vector<float> q(dim_);
-  for (size_t i = 0; i < dim_; ++i) q[i] = static_cast<float>(query[i]);
+  const std::vector<float> q = Quantize(query);
 
   if (!ids_.empty()) {
+    std::vector<float> projected;
+    const QueryView view = View(q, &projected);
     uint32_t ep = entry_slot_;
     for (int l = entry_level_; l >= 1; --l) {
-      ep = GreedyDescend(q.data(), ep, l);
+      ep = GreedyDescend(view, ep, l);
     }
     const size_t ef = std::max<size_t>(static_cast<size_t>(options_.ef_search),
                                        k);
-    std::vector<Candidate> beam = SearchLayer(q.data(), ep, ef, 0);
+    std::vector<Candidate> beam = SearchLayer(view, ep, ef, 0);
     const size_t take = std::min(k, beam.size());
     for (size_t i = 0; i < take; ++i) {
       out.push_back(HnswNeighbor{ids_[beam[i].slot], beam[i].distance});
@@ -395,7 +524,7 @@ std::vector<HnswNeighbor> HnswIndex::Search(const std::vector<double>& query,
   }
   // Staged-but-unflushed vectors stay visible: brute-force and merge.
   for (const auto& [id, vec] : pending_) {
-    out.push_back(HnswNeighbor{id, Distance(q.data(), vec.data())});
+    out.push_back(HnswNeighbor{id, Distance(q.data(), vec.data(), dim_)});
   }
   std::sort(out.begin(), out.end(),
             [](const HnswNeighbor& a, const HnswNeighbor& b) {
@@ -410,16 +539,15 @@ std::vector<HnswNeighbor> HnswIndex::ExactKnn(const std::vector<double>& query,
                                               size_t k) const {
   std::vector<HnswNeighbor> all;
   if (k == 0 || query.size() != dim_) return all;
-  std::vector<float> q(dim_);
-  for (size_t i = 0; i < dim_; ++i) q[i] = static_cast<float>(query[i]);
+  const std::vector<float> q = Quantize(query);
+  std::vector<float> projected;
+  const QueryView view = View(q, &projected);
   all.reserve(ids_.size() + pending_.size());
-  for (size_t slot = 0; slot < ids_.size(); ++slot) {
-    all.push_back(
-        HnswNeighbor{ids_[slot], Distance(q.data(), Slot(
-                                     static_cast<uint32_t>(slot)))});
+  for (uint32_t slot = 0; slot < ids_.size(); ++slot) {
+    all.push_back(HnswNeighbor{ids_[slot], DistanceTo(view, slot)});
   }
   for (const auto& [id, vec] : pending_) {
-    all.push_back(HnswNeighbor{id, Distance(q.data(), vec.data())});
+    all.push_back(HnswNeighbor{id, Distance(q.data(), vec.data(), dim_)});
   }
   const auto cmp = [](const HnswNeighbor& a, const HnswNeighbor& b) {
     return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
@@ -440,8 +568,9 @@ bool HnswIndex::Contains(uint64_t id) const {
 Result<std::vector<float>> HnswIndex::Vector(uint64_t id) const {
   const auto it = slot_of_.find(id);
   if (it != slot_of_.end()) {
-    const float* v = Slot(it->second);
-    return std::vector<float>(v, v + dim_);
+    std::vector<float> dense(dim_);
+    ExpandSlot(it->second, dense.data());
+    return dense;
   }
   const auto pit = pending_.find(id);
   if (pit != pending_.end()) return pit->second;
@@ -466,12 +595,10 @@ std::string HnswIndex::ContentDigest() const {
   for (const uint64_t id : ids_) all.push_back(id);
   for (const auto& [id, vec] : pending_) all.push_back(id);
   std::sort(all.begin(), all.end());
+  std::vector<float> dense(dim_);
   for (const uint64_t id : all) {
     crc = FoldU64(crc, id);
-    const auto it = slot_of_.find(id);
-    const float* v =
-        it != slot_of_.end() ? Slot(it->second) : pending_.at(id).data();
-    crc = common::Crc32(v, dim_ * sizeof(float), crc);
+    crc = common::Crc32(DenseVector(id, &dense), dim_ * sizeof(float), crc);
   }
   return Hex8(crc);
 }
@@ -497,8 +624,9 @@ std::string HnswIndex::GraphDigest() const {
 std::string HnswIndex::CanonicalGraphDigest() const {
   HnswIndex canonical(options_);
   for (uint32_t slot = 0; slot < ids_.size(); ++slot) {
-    const float* v = Slot(slot);
-    canonical.pending_.emplace(ids_[slot], std::vector<float>(v, v + dim_));
+    std::vector<float> dense(dim_);
+    ExpandSlot(slot, dense.data());
+    canonical.pending_.emplace(ids_[slot], std::move(dense));
   }
   for (const auto& [id, vec] : pending_) canonical.pending_.emplace(id, vec);
   canonical.Flush(nullptr);
@@ -515,12 +643,10 @@ Result<std::string> HnswIndex::Serialize() const {
   for (const uint64_t id : ids_) all.push_back(id);
   for (const auto& [id, vec] : pending_) all.push_back(id);
   std::sort(all.begin(), all.end());
+  std::vector<float> dense(dim_);
   for (const uint64_t id : all) {
     AppendU64(&payload, id);
-    const auto it = slot_of_.find(id);
-    const float* v =
-        it != slot_of_.end() ? Slot(it->second) : pending_.at(id).data();
-    AppendFloats(&payload, v, dim_);
+    AppendFloats(&payload, DenseVector(id, &dense), dim_);
   }
   char header[96];
   std::snprintf(header, sizeof(header), "%s %s %08x %zu\n", kMagic, kVersion,
@@ -584,6 +710,9 @@ Status HnswIndex::Load(const std::string& artifact,
 }
 
 void HnswIndex::Clear() {
+  active_.assign(dim_, false);
+  layout_.clear();
+  stride_ = 0;
   vectors_.clear();
   ids_.clear();
   levels_.clear();
@@ -598,6 +727,7 @@ void HnswIndex::Clear() {
 
 size_t HnswIndex::ApproxBytes() const {
   size_t bytes = vectors_.capacity() * sizeof(float) +
+                 layout_.capacity() * sizeof(int32_t) + dim_ / 8 +
                  ids_.capacity() * sizeof(uint64_t) +
                  levels_.capacity() * sizeof(int) +
                  links0_.capacity() * sizeof(uint32_t) +

@@ -51,10 +51,15 @@ struct HnswNeighbor {
 ///     lazily rebuilt replicas are compared (CanonicalGraphDigest below).
 ///
 /// Vectors are quantized to float32 and stored contiguously (flat slot-major
-/// buffer); layer-0 adjacency is likewise a flat 2M-per-slot buffer. Upper
-/// layers hold ~1/M of the nodes and live in a side map. Distances are
-/// accumulated over the stored float bits in a fixed order, so equal inputs
-/// give bit-equal distances everywhere.
+/// buffer) over only the *active* columns — those some flushed vector has
+/// ever held a value other than +0.0f in. Workload embeddings are sparse and
+/// a population uses few of their columns, so this cuts both the bytes per
+/// vector and the distance cost several-fold. The layout keeps the distance
+/// kernel's lanes: distances are accumulated in a fixed order and are
+/// bit-equal to those over the dense vectors on every path, so the layout is
+/// invisible in the graph, the digests, the artifact and search results.
+/// Layer-0 adjacency is a flat 2M-per-slot buffer; upper layers hold ~1/M of
+/// the nodes and live in a side map.
 ///
 /// Thread safety: const members may run concurrently with each other;
 /// Insert/Flush/Load/Clear require external synchronization (the transfer
@@ -75,15 +80,22 @@ class HnswIndex {
   /// fault-in / replay paths.
   Status Insert(uint64_t id, const std::vector<double>& vector);
 
+  /// Insert's validation alone. Reads only the fixed dimension, so it is
+  /// safe to call concurrently with any other member.
+  Status Validate(const std::vector<double>& vector) const;
+
   /// Drains staged vectors into the graph. With a pool, each wave's
   /// candidate-search phase runs via ParallelFor; the result is
-  /// byte-identical to the serial build.
+  /// byte-identical to the serial build. Columns the staged vectors bring
+  /// into use are activated first, re-laying out the stored vectors once.
   void Flush(common::ThreadPool* pool = nullptr);
 
   /// Approximate k nearest neighbors: greedy multi-layer descent plus a
   /// beam of max(ef_search, k) on layer 0. Staged-but-unflushed vectors are
   /// brute-forced and merged so a just-inserted id is immediately findable.
-  /// Results sorted by (distance, id).
+  /// Results sorted by (distance, id). A query that uses a column no flushed
+  /// vector does is compared against expanded dense vectors instead, with
+  /// the same exact distances.
   std::vector<HnswNeighbor> Search(const std::vector<double>& query,
                                    size_t k) const;
 
@@ -137,17 +149,40 @@ class HnswIndex {
     uint32_t slot;
   };
 
+  /// The query side of a distance to a stored vector: `values` is in the
+  /// stored layout, or holds all dim columns when `dense` (the query uses a
+  /// column that is not active, and stored vectors are expanded to match).
+  struct QueryView {
+    const float* values;
+    bool dense;
+  };
+
   int LevelFor(uint64_t id) const;
-  const float* Slot(uint32_t slot) const { return &vectors_[slot * dim_]; }
-  double Distance(const float* a, const float* b) const;
+  const float* Slot(uint32_t slot) const {
+    return vectors_.data() + static_cast<size_t>(slot) * stride_;
+  }
+  /// The stored vector of `slot` as dim dense float32 columns.
+  void ExpandSlot(uint32_t slot, float* dense) const;
+  /// The dense float32 columns of flushed or staged `id`: the staged vector
+  /// itself, or the stored one expanded into `*buffer` (dim floats).
+  const float* DenseVector(uint64_t id, std::vector<float>* buffer) const;
+  /// Views the quantized dense `query` in the stored layout, using
+  /// `*projected` as storage, or densely when it uses an inactive column.
+  QueryView View(const std::vector<float>& query,
+                 std::vector<float>* projected) const;
+  double DistanceTo(const QueryView& query, uint32_t slot) const;
+  /// Activates every column a staged vector uses and, if that grew the
+  /// active set, re-lays out the stored vectors.
+  void ActivatePendingColumns();
   const uint32_t* LinkData(uint32_t slot, int layer) const;
   size_t LinkCount(uint32_t slot, int layer) const;
   void SetLinks(uint32_t slot, int layer, const std::vector<uint32_t>& links);
   /// Greedy 1-NN descent within `layer` starting from `start`.
-  uint32_t GreedyDescend(const float* query, uint32_t start, int layer) const;
+  uint32_t GreedyDescend(const QueryView& query, uint32_t start,
+                         int layer) const;
   /// Best-first beam search within `layer`; returns candidates sorted by
   /// (distance, slot).
-  std::vector<Candidate> SearchLayer(const float* query, uint32_t entry,
+  std::vector<Candidate> SearchLayer(const QueryView& query, uint32_t entry,
                                      size_t ef, int layer) const;
   /// HNSW select-by-heuristic over candidates sorted by (distance, slot).
   std::vector<uint32_t> SelectNeighbors(const float* query,
@@ -161,7 +196,17 @@ class HnswIndex {
   HnswOptions options_;
   size_t dim_ = 0;
 
-  // Flat flushed storage, slot-major. Slot order is flush order.
+  // Stored layout. The kernel accumulates column c in lane c % 4, or in
+  // lane 0 for the dim % 4 tail columns. Position 4j + k of a stored vector
+  // holds the j-th active column of lane k in ascending order; lanes are
+  // zero-padded to a common length, so stride_ is a multiple of 4.
+  // layout_[p] is the column at position p (-1: padding).
+  std::vector<bool> active_;
+  std::vector<int32_t> layout_;
+  size_t stride_ = 0;
+
+  // Flat flushed storage, slot-major, stride_ floats per slot. Slot order is
+  // flush order.
   std::vector<float> vectors_;
   std::vector<uint64_t> ids_;
   std::vector<int> levels_;

@@ -58,7 +58,6 @@ TEST(TransferIndexTest, NonFiniteEmbeddingsAreRefused) {
 TEST(TransferIndexTest, ConcurrentRegisterAndSearchIsSafe) {
   TransferOptions options;
   options.enabled = true;
-  options.insert_batch = 16;
   TransferIndex index(8, options);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/embedding.h"
 #include "gtest/gtest.h"
+#include "sparksim/workloads.h"
 
 namespace rockhopper::ml {
 namespace {
@@ -293,6 +298,194 @@ TEST(HnswIndexTest, VectorLookupQuantizesToFloat) {
   ASSERT_TRUE(flushed.ok());
   EXPECT_EQ(*flushed, *stored);
   EXPECT_EQ(index.Vector(10).status().code(), StatusCode::kNotFound);
+}
+
+// Plan embeddings as the transfer tier indexes them: 252 columns, of which a
+// plan fills about a dozen and the whole population well under half.
+std::vector<std::vector<double>> PlanEmbeddings(size_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  const core::EmbeddingOptions options;
+  std::vector<std::vector<double>> data;
+  data.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    data.push_back(core::ComputeEmbedding(
+        sparksim::GeneratePlan(sparksim::PlanProfile{}, &rng), options));
+  }
+  return data;
+}
+
+/// Columns that are zero in every vector of `data`, ascending.
+std::vector<size_t> UnusedColumns(
+    const std::vector<std::vector<double>>& data) {
+  std::vector<size_t> unused;
+  for (size_t c = 0; c < data.front().size(); ++c) {
+    bool used = false;
+    for (const auto& v : data) used = used || v[c] != 0.0;
+    if (!used) unused.push_back(c);
+  }
+  return unused;
+}
+
+std::string Hex8(uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", v);
+  return buf;
+}
+
+/// CRC over the top-10 Search and ExactKnn results of every query, rendered
+/// as "id hexfloat-distance" lines: pins ids and distance bits exactly.
+std::string ResultsDigest(const HnswIndex& index,
+                          const std::vector<std::vector<double>>& queries) {
+  std::string text;
+  char line[64];
+  for (const auto& q : queries) {
+    for (const bool exact : {false, true}) {
+      for (const HnswNeighbor& n :
+           exact ? index.ExactKnn(q, 10) : index.Search(q, 10)) {
+        std::snprintf(line, sizeof(line), "%llu %a\n",
+                      static_cast<unsigned long long>(n.id), n.distance);
+        text += line;
+      }
+      text += "--\n";
+    }
+  }
+  return Hex8(common::Crc32(text));
+}
+
+std::string ArtifactCrc(const HnswIndex& index) {
+  Result<std::string> artifact = index.Serialize();
+  return artifact.ok() ? Hex8(common::Crc32(*artifact)) : "error";
+}
+
+struct Pins {
+  std::string graph, content, canonical, artifact, results;
+};
+
+Pins PinsOf(const HnswIndex& index,
+            const std::vector<std::vector<double>>& queries) {
+  return Pins{index.GraphDigest(), index.ContentDigest(),
+              index.CanonicalGraphDigest(), ArtifactCrc(index),
+              ResultsDigest(index, queries)};
+}
+
+void ExpectPins(const Pins& got, const Pins& want) {
+  EXPECT_EQ(got.graph, want.graph);
+  EXPECT_EQ(got.content, want.content);
+  EXPECT_EQ(got.canonical, want.canonical);
+  EXPECT_EQ(got.artifact, want.artifact);
+  EXPECT_EQ(got.results, want.results);
+}
+
+// The stored-vector layout is an internal detail: graph, digests, artifact
+// bytes and every search result (ids and distance bits) are pinned to the
+// values of the plain dense float32 layout. The data holds a -0.0f in a
+// column no plan uses; one query uses another such column, which no stored
+// vector has, and so takes the dense fallback path.
+TEST(HnswIndexTest, PlanEmbeddingResultsArePinned) {
+  std::vector<std::vector<double>> data = PlanEmbeddings(2000, 0x706c616eULL);
+  const std::vector<size_t> unused = UnusedColumns(data);
+  ASSERT_GE(unused.size(), 2u);
+  data[500][unused[0]] = -0.0;
+  std::vector<std::vector<double>> queries = PlanEmbeddings(20, 0x71ULL);
+  queries[7][unused[1]] = 1.0;
+
+  HnswOptions options;
+  options.dim = data.front().size();
+  HnswIndex index(options);
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(index.Insert(i + 1, data[i]).ok());
+    if (i % 13 == 12) index.Flush();  // the transfer tier's flush cadence
+  }
+  index.Flush();
+  Result<std::vector<float>> signed_zero = index.Vector(501);
+  ASSERT_TRUE(signed_zero.ok());
+  EXPECT_TRUE(std::signbit((*signed_zero)[unused[0]]));
+  ExpectPins(PinsOf(index, queries),
+             {"e29a9c5f", "b16c0b2d", "0965d253", "8c6e95fc", "328c548d"});
+}
+
+// Dense data with a dimension that is not a multiple of 4: every column is
+// active and the last two fall in the kernel's tail lane.
+TEST(HnswIndexTest, DenseTailLaneResultsArePinned) {
+  constexpr size_t kTailDim = 10;
+  common::Rng rng(0x64656e73ULL);
+  HnswOptions options = SmallOptions();
+  options.dim = kTailDim;
+  HnswIndex index(options);
+  for (uint64_t id = 1; id <= 1500; ++id) {
+    ASSERT_TRUE(index.Insert(id, RandomVector(rng, kTailDim)).ok());
+    if (id % 250 == 0) index.Flush();
+  }
+  std::vector<std::vector<double>> queries;
+  for (int q = 0; q < 20; ++q) queries.push_back(RandomVector(rng, kTailDim));
+  ExpectPins(PinsOf(index, queries),
+             {"81edc523", "74a7dbee", "5f724609", "16e469f9", "09c8d3e0"});
+}
+
+// A column first used after 1000 flushed vectors forces the stored vectors
+// to be re-laid out; the index must stay the one the dense layout builds,
+// and agree with a one-flush canonical build of the same set.
+TEST(HnswIndexTest, LateNewColumnRelayoutMatchesCanonicalBuild) {
+  std::vector<std::vector<double>> data = PlanEmbeddings(1300, 0x6c617465ULL);
+  const std::vector<size_t> unused =
+      UnusedColumns({data.begin(), data.begin() + 1000});
+  ASSERT_FALSE(unused.empty());
+  for (size_t i = 1000; i < data.size(); i += 7) data[i][unused.back()] = 2.0;
+  std::vector<std::vector<double>> queries = PlanEmbeddings(10, 0x6c71ULL);
+  queries[3][unused.back()] = 2.0;
+
+  HnswOptions options;
+  options.dim = data.front().size();
+  HnswIndex incremental(options);
+  HnswIndex canonical(options);
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(incremental.Insert(i + 1, data[i]).ok());
+    ASSERT_TRUE(canonical.Insert(i + 1, data[i]).ok());
+    if (i + 1 == 1000 || i + 1 == data.size()) incremental.Flush();
+  }
+  canonical.Flush();
+  EXPECT_EQ(incremental.GraphDigest(), "9bc51781");
+  EXPECT_EQ(incremental.ContentDigest(), canonical.ContentDigest());
+  EXPECT_EQ(incremental.CanonicalGraphDigest(), canonical.GraphDigest());
+  EXPECT_EQ(ArtifactCrc(incremental), ArtifactCrc(canonical));
+  for (const auto& q : queries) {
+    const std::vector<HnswNeighbor> a = incremental.ExactKnn(q, 10);
+    const std::vector<HnswNeighbor> b = canonical.ExactKnn(q, 10);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+  // A stored vector that carries the late column is its own nearest match.
+  const std::vector<HnswNeighbor> self = incremental.Search(data[1000], 1);
+  ASSERT_EQ(self.size(), 1u);
+  EXPECT_EQ(self[0].id, 1001u);
+  EXPECT_EQ(self[0].distance, 0.0);
+}
+
+// Stored vectors hold only the columns in use: plan embeddings take well
+// under half the vector bytes of the same vectors with every column in use.
+TEST(HnswIndexTest, ApproxBytesShrinksOnPlanEmbeddings) {
+  const std::vector<std::vector<double>> sparse =
+      PlanEmbeddings(1000, 0x73697a65ULL);
+  std::vector<std::vector<double>> dense = sparse;
+  for (auto& v : dense) {
+    for (double& x : v) x += 1.0;  // same pairwise differences, all columns
+  }
+  HnswOptions options;
+  options.dim = sparse.front().size();
+  HnswIndex sparse_index(options);
+  HnswIndex dense_index(options);
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    ASSERT_TRUE(sparse_index.Insert(i + 1, sparse[i]).ok());
+    ASSERT_TRUE(dense_index.Insert(i + 1, dense[i]).ok());
+  }
+  sparse_index.Flush();
+  dense_index.Flush();
+  const size_t dense_vector_bytes = sparse.size() * options.dim * sizeof(float);
+  EXPECT_LT(sparse_index.ApproxBytes() + dense_vector_bytes / 2,
+            dense_index.ApproxBytes());
 }
 
 }  // namespace

@@ -443,13 +443,15 @@ run_ann_suite() {
   local wall_ms=$(( (t1 - t0) / 1000000 ))
 
   python3 - "${tmp_dir}/ann.log" "${bench_status}" "${gate_speedup}" \
-    "${gate_recall}" "${wall_ms}" "${repo_root}/BENCH_ann.json" <<'PYANN'
+    "${gate_recall}" "${wall_ms}" "${repo_root}/BENCH_ann.json" \
+    "${build_dir}/CMakeCache.txt" <<'PYANN'
 import json
+import os
 import re
 import sys
 
-log_path, bench_status, gate_speedup, gate_recall, wall_ms, out_path = (
-    sys.argv[1:7])
+(log_path, bench_status, gate_speedup, gate_recall, wall_ms, out_path,
+ cmake_cache) = sys.argv[1:8]
 with open(log_path) as f:
     log = f.read()
 
@@ -479,7 +481,13 @@ passed = (
     and summary_fields["ann_recall10"] >= gate_recall
     and summary_fields["transfer_fewer_iters"] == 1
 )
+build_type = "unknown"
+with open(cmake_cache) as f:
+    for line in f:
+        if line.startswith("CMAKE_BUILD_TYPE:"):
+            build_type = line.split("=", 1)[1].strip()
 result = {
+    "host": {"nproc": os.cpu_count(), "build_type": build_type},
     "summary": {
         "top_tier_signatures": summary_fields["ann_top_tier"],
         "top_tier_speedup": summary_fields["ann_speedup"],
