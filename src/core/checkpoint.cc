@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -21,33 +22,85 @@ namespace rockhopper::core {
 namespace {
 
 constexpr char kCheckpointMagic[] = "rockhopper-checkpoint";
-constexpr char kCheckpointVersion[] = "v1";
 constexpr char kDeltaMagic[] = "rockhopper-ckpt-delta";
-constexpr char kDeltaVersion[] = "v1";
+constexpr char kFormatVersion[] = "v1";
 constexpr char kJournalHeader[] = "rockhopper-journal v1";
+
+/// The three record-bearing file formats of a journal family.
+enum class FileKind { kJournal, kCheckpoint, kDelta };
+
+const char* KindName(FileKind kind) {
+  switch (kind) {
+    case FileKind::kJournal:
+      return "journal";
+    case FileKind::kCheckpoint:
+      return "checkpoint";
+    case FileKind::kDelta:
+      return "checkpoint delta";
+  }
+  return "file";
+}
 
 std::string Describe(size_t n, const char* what) {
   return std::to_string(n) + " " + what;
 }
 
-/// One parsed record-bearing file: the raw validated lines (absorb path
-/// keeps bytes untouched) plus damage accounting for the dropped suffix.
+/// One parsed record-bearing file: its header metadata, the raw validated
+/// lines (the compactor keeps bytes untouched), and damage accounting for
+/// the dropped suffix.
 struct RecordFile {
   std::vector<std::string> lines;
   size_t records_dropped = 0;
   size_t bytes_dropped = 0;
   bool clean = true;
-  // Checkpoint metadata (checkpoint files only).
+  // Checkpoint and delta metadata.
   uint64_t last_segment = 0;
   size_t declared_records = 0;
-  // Delta metadata (delta files only).
+  // Delta metadata.
   uint64_t chain_index = 0;
   uint64_t base_seq = 0;
+  bool lz = false;
 };
 
+/// Parses a `kind` header line into `file`'s metadata; false when foreign.
+bool ParseHeader(const std::string& header, FileKind kind, RecordFile* file) {
+  char magic[32], version[16], encoding[16];
+  switch (kind) {
+    case FileKind::kJournal:
+      return header == kJournalHeader;
+    case FileKind::kCheckpoint:
+      return std::sscanf(header.c_str(), "%31s %15s %" SCNu64 " %zu", magic,
+                         version, &file->last_segment,
+                         &file->declared_records) == 4 &&
+             std::string(magic) == kCheckpointMagic &&
+             std::string(version) == kFormatVersion;
+    case FileKind::kDelta:
+      if (std::sscanf(header.c_str(),
+                      "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
+                      magic, version, &file->chain_index, &file->base_seq,
+                      &file->last_segment, &file->declared_records,
+                      encoding) != 7 ||
+          std::string(magic) != kDeltaMagic ||
+          std::string(version) != kFormatVersion) {
+        return false;
+      }
+      file->lz = std::string(encoding) == "lz";
+      return true;
+  }
+  return false;
+}
+
+/// Header-only read; false when the file is absent or its header foreign
+/// (a damaged header fails loudly later, in the full ReadRecordFile pass).
+bool ReadHeader(const std::string& path, FileKind kind, RecordFile* file) {
+  std::ifstream in(path, std::ios::binary);
+  std::string header;
+  return in && std::getline(in, header) && ParseHeader(header, kind, file);
+}
+
 /// Scans journal-format record lines in `text` starting at `pos`; the first
-/// invalid line ends the valid prefix (the strictly-sequential-writer
-/// argument of ObservationJournal::Recover).
+/// invalid line ends the valid prefix (the writer is strictly sequential,
+/// so a corrupt record means corruption reached at least this offset).
 void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
   while (pos < text.size()) {
     const size_t newline = text.find('\n', pos);
@@ -78,12 +131,12 @@ void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
   }
 }
 
-/// Reads a record file, validating every line's CRC and payload; the first
-/// bad line ends the valid prefix (the strictly-sequential-writer argument
-/// of ObservationJournal::Recover). `checkpoint_header` selects which of the
-/// two header formats the first line must match.
-Result<RecordFile> ReadRecordFile(const std::string& path,
-                                  bool checkpoint_header) {
+/// The one reader of every journal-family file: validates the `kind`
+/// header, then every line's CRC and payload (an lz delta body is decoded
+/// first). Damage never fails the call: the valid line prefix is kept and
+/// the rest counted as dropped; an undecodable lz body keeps nothing.
+/// kNotFound for a missing file, kInvalidArgument for a foreign header.
+Result<RecordFile> ReadRecordFile(const std::string& path, FileKind kind) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);
   std::ostringstream buffer;
@@ -95,109 +148,32 @@ Result<RecordFile> ReadRecordFile(const std::string& path,
   if (header_end == std::string::npos) {
     return Status::InvalidArgument("missing header line: " + path);
   }
-  const std::string header = text.substr(0, header_end);
-  if (checkpoint_header) {
-    char magic[32], version[16];
-    uint64_t last_segment = 0;
-    size_t declared = 0;
-    if (std::sscanf(header.c_str(), "%31s %15s %" SCNu64 " %zu", magic,
-                    version, &last_segment, &declared) != 4 ||
-        std::string(magic) != kCheckpointMagic ||
-        std::string(version) != kCheckpointVersion) {
-      return Status::InvalidArgument("not a rockhopper checkpoint: " + path);
-    }
-    file.last_segment = last_segment;
-    file.declared_records = declared;
-  } else if (header != kJournalHeader) {
-    return Status::InvalidArgument("not a rockhopper journal: " + path);
+  if (!ParseHeader(text.substr(0, header_end), kind, &file)) {
+    return Status::InvalidArgument(std::string("not a rockhopper ") +
+                                   KindName(kind) + ": " + path);
   }
-
-  ScanRecordLines(text, header_end + 1, &file);
-  // A checkpoint shorter than its declared count lost whole trailing lines
-  // (truncation on a line boundary looks clean line-by-line).
-  if (checkpoint_header && file.clean &&
-      file.lines.size() < file.declared_records) {
-    file.clean = false;
-    file.records_dropped += file.declared_records - file.lines.size();
-  }
-  return file;
-}
-
-/// Reads and validates one delta file. Damage never fails the call: a torn
-/// raw body keeps its valid line prefix, an undecodable compressed body
-/// keeps nothing — both are reported through the dropped counters so the
-/// chain replay can stop at the first unhealthy link.
-Result<RecordFile> ReadDeltaFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  RecordFile file;
-  const size_t header_end = text.find('\n');
-  if (header_end == std::string::npos) {
-    return Status::InvalidArgument("missing header line: " + path);
-  }
-  char magic[32], version[16], encoding[16];
-  uint64_t chain_index = 0, base_seq = 0, last_segment = 0;
-  size_t declared = 0;
-  if (std::sscanf(text.substr(0, header_end).c_str(),
-                  "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
-                  magic, version, &chain_index, &base_seq, &last_segment,
-                  &declared, encoding) != 7 ||
-      std::string(magic) != kDeltaMagic ||
-      std::string(version) != kDeltaVersion) {
-    return Status::InvalidArgument("not a rockhopper checkpoint delta: " +
-                                   path);
-  }
-  file.chain_index = chain_index;
-  file.base_seq = base_seq;
-  file.last_segment = last_segment;
-  file.declared_records = declared;
-
-  const std::string_view body(text.data() + header_end + 1,
-                              text.size() - header_end - 1);
-  std::string decoded;
-  if (std::string(encoding) == "lz") {
+  if (file.lz) {
+    const std::string_view body(text.data() + header_end + 1,
+                                text.size() - header_end - 1);
     Result<std::string> raw = common::DecodeCompressed(body);
     if (!raw.ok()) {
       // The whole body is one envelope: damage loses every record in it.
       file.clean = false;
-      file.records_dropped = declared;
+      file.records_dropped = file.declared_records;
       file.bytes_dropped = body.size();
       return file;
     }
-    decoded = std::move(*raw);
-    ScanRecordLines(decoded, 0, &file);
+    ScanRecordLines(*raw, 0, &file);
   } else {
     ScanRecordLines(text, header_end + 1, &file);
   }
+  // A file shorter than its declared count lost whole trailing lines
+  // (truncation on a line boundary looks clean line-by-line).
   if (file.clean && file.lines.size() < file.declared_records) {
     file.clean = false;
     file.records_dropped += file.declared_records - file.lines.size();
   }
   return file;
-}
-
-/// Header-only read of a delta's metadata; false when absent/unparseable.
-bool DeltaHeaderOrFalse(const std::string& path, uint64_t* chain_index,
-                        uint64_t* base_seq, uint64_t* last_segment) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  char magic[32], version[16], encoding[16];
-  size_t declared = 0;
-  if (std::sscanf(header.c_str(),
-                  "%31s %15s %" SCNu64 " %" SCNu64 " %" SCNu64 " %zu %15s",
-                  magic, version, chain_index, base_seq, last_segment,
-                  &declared, encoding) != 7 ||
-      std::string(magic) != kDeltaMagic ||
-      std::string(version) != kDeltaVersion) {
-    return false;
-  }
-  return true;
 }
 
 Status ReplayLines(const std::vector<std::string>& lines,
@@ -211,26 +187,6 @@ Status ReplayLines(const std::vector<std::string>& lines,
     store->Append(signature, std::move(obs));
   }
   return Status::OK();
-}
-
-/// Header-only read of a checkpoint's sequence number; 0 when the file is
-/// absent or unparseable (a damaged header fails loudly later, in the full
-/// ReadRecordFile pass).
-uint64_t CheckpointSeqOrZero(const std::string& checkpoint_path) {
-  std::ifstream in(checkpoint_path, std::ios::binary);
-  if (!in) return 0;
-  std::string header;
-  if (!std::getline(in, header)) return 0;
-  char magic[32], version[16];
-  uint64_t last_segment = 0;
-  size_t declared = 0;
-  if (std::sscanf(header.c_str(), "%31s %15s %" SCNu64 " %zu", magic, version,
-                  &last_segment, &declared) != 4 ||
-      std::string(magic) != kCheckpointMagic ||
-      std::string(version) != kCheckpointVersion) {
-    return 0;
-  }
-  return last_segment;
 }
 
 }  // namespace
@@ -299,21 +255,23 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
   const std::string checkpoint_path = CheckpointPath(journal_path);
   std::error_code ec;
   info.have_base = std::filesystem::exists(checkpoint_path, ec);
-  info.base_seq = CheckpointSeqOrZero(checkpoint_path);
+  RecordFile base;
+  if (ReadHeader(checkpoint_path, FileKind::kCheckpoint, &base)) {
+    info.base_seq = base.last_segment;
+  }
   ROCKHOPPER_ASSIGN_OR_RETURN(deltas, ListCheckpointDeltas(journal_path));
   uint64_t prev_seq = info.base_seq;
   uint64_t expect = 1;
   bool chain_open = info.have_base;
   for (const auto& [index, path] : deltas) {
-    uint64_t chain_index = 0, base_seq = 0, last_segment = 0;
-    const bool parsed =
-        DeltaHeaderOrFalse(path, &chain_index, &base_seq, &last_segment);
-    if (chain_open && parsed && index == expect && chain_index == index &&
-        base_seq == info.base_seq && last_segment > prev_seq) {
+    RecordFile delta;
+    if (chain_open && ReadHeader(path, FileKind::kDelta, &delta) &&
+        index == expect && delta.chain_index == index &&
+        delta.base_seq == info.base_seq && delta.last_segment > prev_seq) {
       info.valid.emplace_back(index, path);
       const auto size = std::filesystem::file_size(path, ec);
       if (!ec) info.valid_bytes += static_cast<size_t>(size);
-      prev_seq = last_segment;
+      prev_seq = delta.last_segment;
       ++expect;
     } else {
       // Left over from an older chain generation, or past a break in this
@@ -346,7 +304,7 @@ Result<ChainAbsorption> AbsorbDeltaChain(const ChainInfo& chain) {
   out.chain_seq = chain.base_seq;
   bool broken = false;
   for (const auto& [index, path] : chain.valid) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(delta, ReadDeltaFile(path));
+    ROCKHOPPER_ASSIGN_OR_RETURN(delta, ReadRecordFile(path, FileKind::kDelta));
     if (broken) {
       out.records_dropped += delta.declared_records;
       continue;
@@ -366,84 +324,99 @@ Result<ChainAbsorption> AbsorbDeltaChain(const ChainInfo& chain) {
       if (out.first_damage.empty()) out.first_damage = path;
     }
   }
-  if (!out.clean && out.first_damage.empty() && !chain.valid.empty()) {
-    out.first_damage = chain.valid.front().second;
-  }
   return out;
 }
 
 }  // namespace
 
-Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path) {
-  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
+Result<CheckpointReport> Checkpoint(const std::string& journal_path,
+                                    const DeltaCheckpointPolicy& policy) {
+  ServiceMetrics& metrics = ServiceMetrics::Get();
+  ScopedSpan span(metrics.checkpoint_seconds);
   const std::string checkpoint_path = CheckpointPath(journal_path);
+  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal_path));
+  bool full = !chain.have_base || chain.valid.size() >= policy.max_chain;
+  if (!full && policy.max_bytes_fraction > 0.0) {
+    std::error_code ec;
+    const auto base_bytes = std::filesystem::file_size(checkpoint_path, ec);
+    full = !ec && static_cast<double>(chain.valid_bytes) >=
+                      policy.max_bytes_fraction *
+                          static_cast<double>(base_bytes);
+  }
 
   CheckpointReport report;
   report.checkpoint_path = checkpoint_path;
-
-  // Base: the previous checkpoint's records (absent on the first compaction).
-  RecordFile base;
-  bool have_checkpoint = false;
-  {
-    Result<RecordFile> read = ReadRecordFile(checkpoint_path, true);
-    if (read.ok()) {
-      base = std::move(*read);
-      have_checkpoint = true;
-    } else if (read.status().code() != StatusCode::kNotFound) {
-      return read.status();
+  // The records the published file holds, in replay order: a full image
+  // rewrites image + chain + fresh segments, a delta only the fresh ones.
+  std::vector<std::string> lines;
+  // Highest segment index covered; segments above it are fresh.
+  uint64_t last_segment = chain.chain_seq;
+  if (full) {
+    Result<RecordFile> base =
+        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint);
+    if (base.ok()) {
+      lines = std::move(base->lines);
+      report.records_dropped += base->records_dropped;
+    } else if (base.status().code() != StatusCode::kNotFound) {
+      return base.status();
     }
+    ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain));
+    lines.insert(lines.end(), std::make_move_iterator(chained.lines.begin()),
+                 std::make_move_iterator(chained.lines.end()));
+    report.records_dropped += chained.records_dropped;
+    report.deltas_absorbed = chained.deltas_used;
+    // A damaged chain covers only up to its last contributing delta.
+    last_segment = chained.chain_seq;
   }
-  report.last_segment = base.last_segment;
-  report.records_dropped += base.records_dropped;
-
-  // Collapse the delta chain: its records are part of the image being
-  // rewritten, and its coverage decides which segments are fresh.
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal_path));
-  ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain));
-  report.records_dropped += chained.records_dropped;
-  report.deltas_absorbed = chained.deltas_used;
 
   ROCKHOPPER_ASSIGN_OR_RETURN(segments,
                               ObservationJournal::ListSegments(journal_path));
-  // Segments at or below the chain sequence were absorbed by an earlier
+  // Segments at or below the coverage were absorbed by an earlier
   // compaction (full or delta) that crashed before removing them; their
   // records are already in the chain, so they are deleted without
   // re-absorbing.
   std::vector<std::pair<uint64_t, std::string>> fresh;
   std::vector<std::string> stale;
   for (const auto& [index, path] : segments) {
-    if (index > chained.chain_seq) {
+    if (index > last_segment) {
       fresh.emplace_back(index, path);
     } else {
       stale.push_back(path);
     }
   }
+  report.last_segment = last_segment;
 
-  if (fresh.empty() && have_checkpoint && chain.valid.empty()) {
-    // Nothing new to absorb; just finish the interrupted truncation.
-    report.records = base.lines.size();
-    if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-      std::error_code ec;
-      for (const std::string& path : stale) {
-        std::filesystem::remove(path, ec);
-      }
-      for (const std::string& path : chain.stale) {
+  // Truncation: absorbed segments, collapsed deltas and stale leftovers are
+  // redundant once the checkpoint is published (recovery skips segment
+  // indexes <= the coverage, and collapsed deltas' base-seq no longer
+  // matches the new image), so removing them is pure space reclamation — a
+  // crash anywhere in it is harmless.
+  const auto truncate = [&] {
+    if (ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) return;
+    std::error_code ec;
+    for (const auto& [index, path] : fresh) std::filesystem::remove(path, ec);
+    for (const std::string& path : stale) std::filesystem::remove(path, ec);
+    if (full) {
+      for (const auto& [index, path] : chain.valid) {
         std::filesystem::remove(path, ec);
       }
     }
+    for (const std::string& path : chain.stale) {
+      std::filesystem::remove(path, ec);
+    }
+  };
+  if (fresh.empty() && chain.have_base && (!full || chain.valid.empty())) {
+    // Nothing new to absorb; just finish any interrupted truncation.
+    report.records = lines.size();
+    truncate();
     return report;
   }
 
-  std::vector<std::string> absorbed = std::move(base.lines);
-  absorbed.insert(absorbed.end(),
-                  std::make_move_iterator(chained.lines.begin()),
-                  std::make_move_iterator(chained.lines.end()));
-  uint64_t last_segment = chained.chain_seq;
   for (const auto& [index, path] : fresh) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
-    absorbed.insert(absorbed.end(),
-                    std::make_move_iterator(segment.lines.begin()),
-                    std::make_move_iterator(segment.lines.end()));
+    ROCKHOPPER_ASSIGN_OR_RETURN(segment,
+                                ReadRecordFile(path, FileKind::kJournal));
+    lines.insert(lines.end(), std::make_move_iterator(segment.lines.begin()),
+                 std::make_move_iterator(segment.lines.end()));
     // A torn segment tail is a record that was never acked (the sticky
     // journal error rejected everything after it); dropping it loses
     // nothing the service promised to keep.
@@ -451,174 +424,87 @@ Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path) {
     last_segment = index;
   }
 
-  // Publish atomically: a crash mid-write leaves only a .tmp file and the
-  // previous checkpoint + segments intact.
-  const std::string tmp_path = checkpoint_path + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IOError("cannot open checkpoint tmp: " + tmp_path);
-  }
-  std::fprintf(out, "%s %s %" PRIu64 " %zu\n", kCheckpointMagic,
-               kCheckpointVersion, last_segment, absorbed.size());
-  if (ROCKHOPPER_BUGGIFY("checkpoint.write.crash")) {
-    // Crash mid-write: a prefix of the records reaches the tmp file, which
-    // is never renamed — recovery must be oblivious to it.
-    for (size_t i = 0; i < absorbed.size() / 2; ++i) {
-      std::fprintf(out, "%s\n", absorbed[i].c_str());
+  // Encoding: full images and raw deltas hold the journal lines verbatim,
+  // an lz delta one envelope over them.
+  const bool lz = !full && policy.compress;
+  std::string envelope;
+  size_t body_bytes = 0;
+  if (lz) {
+    std::string body;
+    for (const std::string& line : lines) {
+      body += line;
+      body += '\n';
     }
-    std::fflush(out);
-    std::fclose(out);
-    return Status::IOError("injected checkpoint crash mid-write: " +
-                           tmp_path);
-  }
-  size_t bytes_written = 0;
-  for (const std::string& line : absorbed) {
-    const int wrote = std::fprintf(out, "%s\n", line.c_str());
-    if (wrote < 0) {
-      std::fclose(out);
-      return Status::IOError("checkpoint write failed: " + tmp_path);
-    }
-    bytes_written += static_cast<size_t>(wrote);
-  }
-  if (std::fflush(out) != 0 || std::fclose(out) != 0) {
-    return Status::IOError("checkpoint flush failed: " + tmp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, checkpoint_path, ec);
-  if (ec) {
-    return Status::IOError("checkpoint publish failed: " + checkpoint_path +
-                           ": " + ec.message());
-  }
-
-  report.last_segment = last_segment;
-  report.records = absorbed.size();
-  report.segments_absorbed = fresh.size();
-  report.bytes_written = bytes_written;
-
-  // Truncation: absorbed segments and the collapsed delta chain are now
-  // redundant (recovery skips segment indexes <= last_segment, and the
-  // deltas' base-seq no longer matches the new image), so removing them is
-  // pure space reclamation — a crash anywhere in this loop is harmless.
-  if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-    for (const auto& [index, path] : fresh) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : stale) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const auto& [index, path] : chain.valid) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : chain.stale) {
-      std::filesystem::remove(path, ec);
-    }
-  }
-  ServiceMetrics::Get().checkpoints_total->Increment();
-  ServiceMetrics::Get().checkpoint_bytes->Observe(
-      static_cast<double>(bytes_written));
-  return report;
-}
-
-Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
-                                              bool compress) {
-  const std::string checkpoint_path = CheckpointPath(journal_path);
-  std::error_code ec;
-  if (!std::filesystem::exists(checkpoint_path, ec)) {
-    // No full image yet: the first checkpoint is necessarily full.
-    return WriteCheckpoint(journal_path);
-  }
-  ScopedSpan span(ServiceMetrics::Get().checkpoint_seconds);
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal_path));
-
-  CheckpointReport report;
-  report.checkpoint_path = checkpoint_path;
-  report.last_segment = chain.chain_seq;
-
-  ROCKHOPPER_ASSIGN_OR_RETURN(segments,
-                              ObservationJournal::ListSegments(journal_path));
-  std::vector<std::pair<uint64_t, std::string>> fresh;
-  std::vector<std::string> stale;
-  for (const auto& [index, path] : segments) {
-    if (index > chain.chain_seq) {
-      fresh.emplace_back(index, path);
-    } else {
-      stale.push_back(path);
-    }
-  }
-
-  if (fresh.empty()) {
-    // Nothing new to absorb; just finish any interrupted truncation.
-    if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-      for (const std::string& path : stale) {
-        std::filesystem::remove(path, ec);
-      }
-      for (const std::string& path : chain.stale) {
-        std::filesystem::remove(path, ec);
-      }
-    }
-    return report;
-  }
-
-  std::vector<std::string> lines;
-  uint64_t last_segment = chain.chain_seq;
-  for (const auto& [index, path] : fresh) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
-    lines.insert(lines.end(), std::make_move_iterator(segment.lines.begin()),
-                 std::make_move_iterator(segment.lines.end()));
-    report.records_dropped += segment.records_dropped;
-    last_segment = index;
-  }
-
-  std::string body;
-  for (const std::string& line : lines) {
-    body += line;
-    body += '\n';
-  }
-  const char* encoding = "raw";
-  if (compress) {
-    ServiceMetrics& metrics = ServiceMetrics::Get();
     ScopedSpan compress_span(metrics.compress_seconds);
-    std::string envelope = common::EncodeCompressed(body);
+    envelope = common::EncodeCompressed(body);
     metrics.compress_encodes->Increment();
     metrics.compress_ratio->Observe(
         body.empty() ? 1.0
                      : static_cast<double>(envelope.size()) /
                            static_cast<double>(body.size()));
-    body = std::move(envelope);
-    encoding = "lz";
+    body_bytes = envelope.size();
+  } else {
+    for (const std::string& line : lines) body_bytes += line.size() + 1;
   }
 
-  const uint64_t delta_index = chain.valid.size() + 1;
-  const std::string delta_path = CheckpointDeltaPath(journal_path, delta_index);
-  const std::string tmp_path = delta_path + ".tmp";
+  const uint64_t delta_index = full ? 0 : chain.valid.size() + 1;
+  const std::string path =
+      full ? checkpoint_path : CheckpointDeltaPath(journal_path, delta_index);
+  char header[192];
+  if (full) {
+    std::snprintf(header, sizeof(header), "%s %s %" PRIu64 " %zu\n",
+                  kCheckpointMagic, kFormatVersion, last_segment,
+                  lines.size());
+  } else {
+    std::snprintf(header, sizeof(header),
+                  "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu %s\n",
+                  kDeltaMagic, kFormatVersion, delta_index, chain.base_seq,
+                  last_segment, lines.size(), lz ? "lz" : "raw");
+  }
+
+  // Publish atomically: a crash mid-write leaves only a .tmp file, with the
+  // previous chain and the segments intact.
+  const std::string what = full ? "checkpoint" : "delta";
+  const std::string tmp_path = path + ".tmp";
   std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
   if (out == nullptr) {
-    return Status::IOError("cannot open delta tmp: " + tmp_path);
+    return Status::IOError("cannot open " + what + " tmp: " + tmp_path);
   }
-  const int header_bytes = std::fprintf(
-      out, "%s %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu %s\n", kDeltaMagic,
-      kDeltaVersion, delta_index, chain.base_seq, last_segment, lines.size(),
-      encoding);
-  if (ROCKHOPPER_BUGGIFY("checkpoint.delta.crash")) {
-    // Crash mid-write: a prefix of the body reaches the tmp file, which is
-    // never renamed — the chain, segments and recovery are oblivious to it.
-    std::fwrite(body.data(), 1, body.size() / 2, out);
+  // Writes the body, or only its first half (a crash mid-write).
+  const auto write_body = [&](bool half) {
+    if (lz) {
+      const size_t n = half ? envelope.size() / 2 : envelope.size();
+      return std::fwrite(envelope.data(), 1, n, out) == n;
+    }
+    const size_t n = half ? lines.size() / 2 : lines.size();
+    for (size_t i = 0; i < n; ++i) {
+      if (std::fprintf(out, "%s\n", lines[i].c_str()) < 0) return false;
+    }
+    return true;
+  };
+  const bool header_ok = std::fputs(header, out) >= 0;
+  if (full ? ROCKHOPPER_BUGGIFY("checkpoint.write.crash")
+           : ROCKHOPPER_BUGGIFY("checkpoint.delta.crash")) {
+    // The tmp file is never renamed: the chain, segments and recovery are
+    // oblivious to it.
+    write_body(/*half=*/true);
     std::fflush(out);
     std::fclose(out);
-    return Status::IOError("injected delta-checkpoint crash mid-write: " +
-                           tmp_path);
+    return Status::IOError("injected " +
+                           (full ? what : "delta-checkpoint") +
+                           " crash mid-write: " + tmp_path);
   }
-  if (header_bytes < 0 ||
-      std::fwrite(body.data(), 1, body.size(), out) != body.size()) {
+  if (!header_ok || !write_body(/*half=*/false)) {
     std::fclose(out);
-    return Status::IOError("delta write failed: " + tmp_path);
+    return Status::IOError(what + " write failed: " + tmp_path);
   }
   if (std::fflush(out) != 0 || std::fclose(out) != 0) {
-    return Status::IOError("delta flush failed: " + tmp_path);
+    return Status::IOError(what + " flush failed: " + tmp_path);
   }
-  std::filesystem::rename(tmp_path, delta_path, ec);
+  std::error_code ec;
+  std::filesystem::rename(tmp_path, path, ec);
   if (ec) {
-    return Status::IOError("delta publish failed: " + delta_path + ": " +
+    return Status::IOError(what + " publish failed: " + path + ": " +
                            ec.message());
   }
 
@@ -626,26 +512,17 @@ Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
   report.last_segment = last_segment;
   report.records = lines.size();
   report.segments_absorbed = fresh.size();
-  report.bytes_written = static_cast<size_t>(header_bytes) + body.size();
-
-  if (!ROCKHOPPER_BUGGIFY("checkpoint.truncate.crash")) {
-    for (const auto& [index, path] : fresh) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : stale) {
-      std::filesystem::remove(path, ec);
-    }
-    for (const std::string& path : chain.stale) {
-      std::filesystem::remove(path, ec);
-    }
-  }
-  ServiceMetrics::Get().checkpoint_deltas_total->Increment();
-  ServiceMetrics::Get().checkpoint_bytes->Observe(
-      static_cast<double>(report.bytes_written));
+  // A full image counts its record bytes, a delta its header too.
+  report.bytes_written = body_bytes + (full ? 0 : std::strlen(header));
+  truncate();
+  (full ? metrics.checkpoints_total : metrics.checkpoint_deltas_total)
+      ->Increment();
+  metrics.checkpoint_bytes->Observe(static_cast<double>(report.bytes_written));
   return report;
 }
 
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal) {
+Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
+                                        const DeltaCheckpointPolicy& policy) {
   if (journal == nullptr || !journal->is_open()) {
     return Status::FailedPrecondition("journal is not open");
   }
@@ -656,56 +533,37 @@ Result<CheckpointReport> CheckpointLive(ObservationJournal* journal) {
   // delta) absorbed and deleted (see Rotate's doc).
   ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
   ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
-  return WriteCheckpoint(journal->path());
-}
-
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
-                                        const DeltaCheckpointPolicy& policy) {
-  if (journal == nullptr || !journal->is_open()) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
-  ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
-  bool full = !chain.have_base;
-  if (!full && policy.max_chain > 0 && chain.valid.size() >= policy.max_chain) {
-    full = true;
-  }
-  if (!full && policy.max_bytes_fraction > 0.0) {
-    std::error_code ec;
-    const auto base_bytes =
-        std::filesystem::file_size(CheckpointPath(journal->path()), ec);
-    if (!ec && static_cast<double>(chain.valid_bytes) >=
-                   policy.max_bytes_fraction * static_cast<double>(base_bytes)) {
-      full = true;
-    }
-  }
-  return full ? WriteCheckpoint(journal->path())
-              : WriteCheckpointDelta(journal->path(), policy.compress);
+  return Checkpoint(journal->path(), policy);
 }
 
 Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
   JournalChain chain;
   bool found_any = false;
 
-  auto absorb_damage = [&chain](const RecordFile& file,
-                                const std::string& path) {
-    if (file.clean) return;
+  // The first damage sets tail_status; every damage is counted.
+  const auto note_damage = [&chain](bool clean, size_t records, size_t bytes,
+                                    const std::string& where) {
+    if (clean) return;
     chain.clean = false;
-    chain.records_dropped += file.records_dropped;
-    chain.bytes_dropped += file.bytes_dropped;
+    chain.records_dropped += records;
+    chain.bytes_dropped += bytes;
     if (chain.tail_status.ok()) {
       chain.tail_status = Status::DataLoss(
-          "dropped " + Describe(file.records_dropped, "records") + " (" +
-          Describe(file.bytes_dropped, "bytes") + ") from " + path);
+          "dropped " + Describe(records, "records") + " (" +
+          Describe(bytes, "bytes") + ") from " + where);
     }
+  };
+  const auto absorb_damage = [&note_damage](const RecordFile& file,
+                                            const std::string& path) {
+    note_damage(file.clean, file.records_dropped, file.bytes_dropped, path);
   };
 
   const std::string checkpoint_path = CheckpointPath(journal_path);
   {
-    Result<RecordFile> read = ReadRecordFile(checkpoint_path, true);
+    Result<RecordFile> read =
+        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint);
     if (read.ok()) {
       found_any = true;
-      chain.checkpoint_seq = read->last_segment;
       chain.checkpoint_records = read->lines.size();
       absorb_damage(*read, checkpoint_path);
       ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(read->lines, &chain.store));
@@ -721,20 +579,12 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
     ROCKHOPPER_ASSIGN_OR_RETURN(disk_chain, DiscoverChain(journal_path));
     ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(disk_chain));
     if (!disk_chain.valid.empty()) found_any = true;
+    // The image's own sequence when no delta contributed.
     chain.checkpoint_seq = chained.chain_seq;
     chain.checkpoint_records += chained.lines.size();
     chain.deltas_replayed = chained.deltas_used;
-    if (!chained.clean) {
-      chain.clean = false;
-      chain.records_dropped += chained.records_dropped;
-      chain.bytes_dropped += chained.bytes_dropped;
-      if (chain.tail_status.ok()) {
-        chain.tail_status = Status::DataLoss(
-            "dropped " + Describe(chained.records_dropped, "records") + " (" +
-            Describe(chained.bytes_dropped, "bytes") +
-            ") from delta chain at " + chained.first_damage);
-      }
-    }
+    note_damage(chained.clean, chained.records_dropped, chained.bytes_dropped,
+                "delta chain at " + chained.first_damage);
     ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(chained.lines, &chain.store));
   }
 
@@ -742,7 +592,8 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
                               ObservationJournal::ListSegments(journal_path));
   for (const auto& [index, path] : segments) {
     if (index <= chain.checkpoint_seq) continue;  // already in the checkpoint
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment, ReadRecordFile(path, false));
+    ROCKHOPPER_ASSIGN_OR_RETURN(segment,
+                                ReadRecordFile(path, FileKind::kJournal));
     found_any = true;
     ++chain.segments_replayed;
     chain.tail_records += segment.lines.size();
@@ -751,7 +602,7 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
   }
 
   {
-    Result<RecordFile> read = ReadRecordFile(journal_path, false);
+    Result<RecordFile> read = ReadRecordFile(journal_path, FileKind::kJournal);
     if (read.ok()) {
       found_any = true;
       chain.tail_records += read->lines.size();

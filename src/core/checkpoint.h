@@ -54,8 +54,9 @@ namespace rockhopper::core {
 ///  - crash between full-compaction publish and delta removal leaves
 ///    deltas whose base-seq no longer matches the new image — stale,
 ///    skipped, then deleted by the next writer.
-/// A full compaction (WriteCheckpoint) always absorbs image + chain +
-/// segments, collapsing the chain back to a lone full image.
+/// A full compaction absorbs image + chain + segments, collapsing the chain
+/// back to a lone full image: a full image is just a compacted chain, and a
+/// journal with no checkpoint is a chain of length zero.
 
 /// Checkpoint file location for a journal at `journal_path`.
 std::string CheckpointPath(const std::string& journal_path);
@@ -93,40 +94,34 @@ struct CheckpointReport {
 /// When to collapse the delta chain back into one full image, and how
 /// delta bodies are encoded.
 struct DeltaCheckpointPolicy {
-  /// Full compaction once the chain would exceed this many deltas.
+  /// Full compaction once the chain holds this many deltas; 0 makes every
+  /// checkpoint a full image.
   size_t max_chain = 8;
-  /// Full compaction once cumulative delta bytes exceed this fraction of
-  /// the full image's size.
+  /// Full compaction once cumulative delta bytes reach this fraction of the
+  /// full image's size (0 disables the size trigger).
   double max_bytes_fraction = 0.5;
   /// LZ-envelope the delta record body (common/compress).
   bool compress = true;
 };
 
-/// Offline compaction: absorbs the existing checkpoint (if any) plus every
-/// completed segment of `journal_path` into a fresh checkpoint published by
-/// atomic rename, then removes the absorbed segments. Safe to run against a
+/// Compacts every completed segment of `journal_path` into the checkpoint
+/// chain: a full image (image + chain + fresh segments) when no image exists
+/// yet or `policy` says the chain is due for collapse, else a delta holding
+/// only the fresh segments. Publishes by atomic rename, then removes the
+/// absorbed segments and collapsed or stale deltas. Safe to run against a
 /// closed journal or concurrently with a live one (it never opens the live
-/// file). A no-op report (segments_absorbed == 0) is returned when there is
-/// nothing new to absorb and a checkpoint already exists.
-Result<CheckpointReport> WriteCheckpoint(const std::string& journal_path);
-
-/// Incremental compaction: absorbs segments above the current chain seq
-/// into a new delta stacked on the existing full image. Falls back to
-/// WriteCheckpoint when no full image exists yet. A no-op report
-/// (segments_absorbed == 0) is returned when there is nothing to absorb.
-Result<CheckpointReport> WriteCheckpointDelta(const std::string& journal_path,
-                                              bool compress);
+/// file). With nothing new to absorb it only finishes an interrupted
+/// truncation and returns a report with segments_absorbed == 0.
+Result<CheckpointReport> Checkpoint(const std::string& journal_path,
+                                    const DeltaCheckpointPolicy& policy);
 
 /// Live checkpoint: rotates `journal` (the group-commit sequence barrier —
-/// every acked record lands in a sealed segment) and then compacts. The
+/// every acked record lands in a sealed segment), then runs Checkpoint. The
 /// service keeps appending throughout; only the rotation itself briefly
-/// blocks writers. This overload always produces a full image.
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal);
-
-/// Incremental live checkpoint: rotates, then publishes a delta — or a
-/// full compaction when `policy` says the chain is due for collapse.
-Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
-                                        const DeltaCheckpointPolicy& policy);
+/// blocks writers. The default policy makes every checkpoint a full image.
+Result<CheckpointReport> CheckpointLive(
+    ObservationJournal* journal,
+    const DeltaCheckpointPolicy& policy = {/*max_chain=*/0});
 
 /// The result of replaying checkpoint + delta chain + segments + live tail.
 struct JournalChain {
@@ -154,8 +149,10 @@ struct JournalChain {
 /// Recovers the full observation history of `journal_path`: checkpoint
 /// records first, then segments above the checkpoint sequence in ascending
 /// order, then the live journal. Returns kNotFound only when none of the
-/// three sources exist; damaged tails inside any source are dropped and
-/// reported via `tail_status`, matching ObservationJournal::Recover.
+/// sources exist. Damage never fails the call: each file keeps its longest
+/// valid record prefix, and what was dropped is counted and reported via
+/// `tail_status` (kDataLoss). A file with a foreign header is
+/// kInvalidArgument. For a lone journal, `tail_records` is every record.
 Result<JournalChain> RecoverJournalChain(const std::string& journal_path);
 
 }  // namespace rockhopper::core

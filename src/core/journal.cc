@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <iterator>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -186,7 +183,7 @@ Status ObservationJournal::WriteRecord(uint64_t signature,
   }
   if (ROCKHOPPER_BUGGIFY("journal.append.short_write")) {
     // Torn write: a prefix of the record (no trailing newline) reaches the
-    // file before the "disk" dies — the tail shape Recover() must drop.
+    // file before the "disk" dies — the tail shape recovery must drop.
     char buffer[16];
     std::snprintf(buffer, sizeof(buffer), "%08x ", crc);
     std::fwrite(buffer, 1, sizeof(buffer) - 7, file);
@@ -439,74 +436,6 @@ ObservationJournal::ListSegments(const std::string& path) {
   }
   std::sort(segments.begin(), segments.end());
   return segments;
-}
-
-Result<ObservationJournal::Recovered> ObservationJournal::Recover(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open journal: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  // Header must be intact — a foreign or headerless file is an error, not a
-  // recoverable tail.
-  const size_t header_len = std::strlen(kHeader);
-  if (text.size() < header_len + 1 ||
-      text.compare(0, header_len, kHeader) != 0 || text[header_len] != '\n') {
-    return Status::InvalidArgument("not a rockhopper journal: " + path);
-  }
-
-  Recovered recovered;
-  size_t pos = header_len + 1;
-  while (pos < text.size()) {
-    const size_t newline = text.find('\n', pos);
-    if (newline == std::string::npos) {
-      // Truncated tail: the writer died mid-record.
-      recovered.clean = false;
-      recovered.bytes_dropped = text.size() - pos;
-      ++recovered.records_dropped;
-      recovered.tail_status = Status::DataLoss(
-          "journal tail truncated mid-record: dropped " +
-          std::to_string(recovered.bytes_dropped) + " bytes of " + path);
-      return recovered;
-    }
-    const std::string line = text.substr(pos, newline - pos);
-    // "<crc-hex8> <payload>"
-    bool line_ok = line.size() > 9 && line[8] == ' ';
-    uint64_t signature = 0;
-    Observation obs;
-    if (line_ok) {
-      const std::string crc_text = line.substr(0, 8);
-      char* end = nullptr;
-      const unsigned long crc = std::strtoul(crc_text.c_str(), &end, 16);
-      const std::string payload = line.substr(9);
-      line_ok = end == crc_text.c_str() + crc_text.size() &&
-                static_cast<uint32_t>(crc) == common::Crc32(payload) &&
-                ParsePayload(payload, &signature, &obs);
-    }
-    if (!line_ok) {
-      // Bad record: everything from here on is untrustworthy (the writer is
-      // strictly sequential, so a corrupt record means corruption reached at
-      // least this offset). Keep the valid prefix, drop the suffix.
-      recovered.clean = false;
-      recovered.bytes_dropped = text.size() - pos;
-      for (size_t p = pos; p < text.size();) {
-        ++recovered.records_dropped;
-        const size_t nl = text.find('\n', p);
-        if (nl == std::string::npos) break;
-        p = nl + 1;
-      }
-      recovered.tail_status = Status::DataLoss(
-          "journal tail corrupt (bad CRC or malformed record): dropped " +
-          std::to_string(recovered.records_dropped) + " records of " + path);
-      return recovered;
-    }
-    recovered.store.Append(signature, std::move(obs));
-    ++recovered.records_recovered;
-    pos = newline + 1;
-  }
-  return recovered;
 }
 
 }  // namespace rockhopper::core

@@ -48,9 +48,11 @@ struct GroupCommitOptions {
 ///
 /// Doubles are hexfloat-formatted (exact round-trip); the CRC-32 covers the
 /// payload after the checksum field. A service killed mid-write leaves a
-/// truncated or garbage tail; recovery keeps the longest valid prefix and
-/// reports what it dropped, so a restart never replays corrupt rows
-/// verbatim (unlike the CSV path this replaces).
+/// truncated or garbage tail; recovery (RecoverJournalChain in
+/// core/checkpoint.h, which reads the journal together with its checkpoint
+/// chain and sealed segments) keeps the longest valid prefix and reports
+/// what it dropped, so a restart never replays corrupt rows verbatim
+/// (unlike the CSV path this replaces).
 ///
 /// Two write modes share the record format:
 ///  - synchronous (default): Append formats, writes, and flushes inline;
@@ -153,29 +155,6 @@ class ObservationJournal {
   /// the destructor), and returns the sticky first error — a failed fclose
   /// counts. OK means the journal closed with every record persisted.
   Status Close();
-
-  struct Recovered {
-    ObservationStore store;
-    size_t records_recovered = 0;
-    /// Lines abandoned after the first bad record (they may be fine, but a
-    /// corrupt predecessor makes the suffix untrustworthy).
-    size_t records_dropped = 0;
-    size_t bytes_dropped = 0;
-    /// False when a truncated tail, CRC mismatch, or garbage line was hit.
-    bool clean = true;
-    /// OK for a clean journal; kDataLoss (with what was dropped) when the
-    /// tail was truncated or corrupt. Callers branch on the code to tell
-    /// partial data loss from the hard errors Recover itself returns
-    /// (kNotFound missing file, kInvalidArgument foreign header).
-    Status tail_status = Status::OK();
-  };
-
-  /// Reads a journal, tolerating a truncated or corrupt tail: the longest
-  /// valid prefix of records is kept, everything from the first bad record
-  /// on is dropped, counted, and reported via `tail_status` (kDataLoss).
-  /// Only a missing file (kNotFound) or an unreadable/foreign header
-  /// (kInvalidArgument) is an error.
-  static Result<Recovered> Recover(const std::string& path);
 
  private:
   struct GroupCommitState {

@@ -13,9 +13,9 @@ namespace rockhopper::core {
 ///   1. Propose(p) returns the configuration for the next execution given
 ///      the expected input data size p (tuners free to ignore it);
 ///   2. the caller executes and reports the outcome via Observe().
-/// Implementations: CentroidLearner (Rockhopper), BoTuner / ContextualBoTuner
-/// (Bayesian Optimization baselines), Flow2Tuner, HillClimbTuner,
-/// RandomSearchTuner.
+/// Implementations: CentroidLearner (Rockhopper), BoTuner (vanilla and
+/// contextual Bayesian Optimization baselines), Flow2Tuner, and
+/// ExpertPolicyTuner (simulated manual tuning).
 class Tuner {
  public:
   virtual ~Tuner() = default;

@@ -479,23 +479,37 @@ const sparksim::QueryPlan* TuningService::ResolvePlan(
   return plan_resolver_ ? plan_resolver_(signature) : nullptr;
 }
 
-Result<QueryState> TuningService::ReplayColdState(
-    uint64_t signature, const sparksim::QueryPlan& plan) {
+QueryState TuningService::Replay(uint64_t signature,
+                                 const sparksim::QueryPlan& plan,
+                                 const std::vector<Observation>& rows) {
+  // Replay must rebuild the journal-determined trajectory, so the fresh
+  // state never consults neighbors — a recovered twin whose signatures
+  // arrive in digest order would otherwise see different neighbor sets than
+  // the live service did and diverge.
   QueryState state = BuildState(plan, signature, /*allow_transfer=*/false);
-  // Safe to iterate by reference: appends to this signature's history only
-  // happen under its shard-map lock, which our caller (the fault-in path)
-  // already holds. Replays the journaled runtimes exactly as ingestion fed
-  // them to the tuner, so the rebuilt trajectory is bit-identical.
-  const std::vector<Observation>& history = observations_.History(signature);
-  for (const Observation& obs : history) {
+  for (const Observation& obs : rows) {
+    // Mirror the live pipeline exactly: the tuner and guardrail stop
+    // evolving at a guardrail disable (accepted rows keep landing in the
+    // store, which is the caller's business).
+    if (state.disabled) break;
     if (!SanitizeReplayRow(obs)) continue;
-    if (state.disabled) continue;
     state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
     if (options_.enable_guardrail && !state.guardrail.Record(obs)) {
       state.disabled = true;
     }
   }
   return state;
+}
+
+size_t TuningService::AppendReplayRows(uint64_t signature,
+                                       const std::vector<Observation>& rows) {
+  size_t kept = 0;
+  for (const Observation& obs : rows) {
+    if (!SanitizeReplayRow(obs)) continue;
+    observations_.Append(signature, obs);
+    ++kept;
+  }
+  return kept;
 }
 
 bool TuningService::SanitizeReplayRow(const Observation& obs) const {
@@ -545,7 +559,10 @@ Result<QueryState> TuningService::LoadColdState(uint64_t signature,
           << "); rebuilding from observation history";
     }
   }
-  return ReplayColdState(signature, *plan);
+  // Safe to iterate the store by reference: appends to this signature's
+  // history only happen under its shard-map lock, which our caller (the
+  // fault-in path) already holds.
+  return Replay(signature, *plan, observations_.History(signature));
 }
 
 Result<CheckpointReport> TuningService::Checkpoint() {
@@ -556,9 +573,8 @@ Result<CheckpointReport> TuningService::Checkpoint() {
   policy.max_chain = tier_options_.max_delta_chain;
   policy.max_bytes_fraction = tier_options_.max_delta_bytes_fraction;
   policy.compress = tier_options_.compress_checkpoints;
-  Result<CheckpointReport> compacted = tier_attached_
-                                           ? CheckpointLive(journal_, policy)
-                                           : CheckpointLive(journal_);
+  if (!tier_attached_) policy.max_chain = 0;  // always a full image
+  Result<CheckpointReport> compacted = CheckpointLive(journal_, policy);
   ROCKHOPPER_RETURN_IF_ERROR(compacted.status());
   CheckpointReport report = *std::move(compacted);
   // Piggyback the transfer-index artifact on the checkpoint: recovery can
@@ -588,59 +604,9 @@ size_t TuningService::ReplayHistory(const sparksim::QueryPlan& plan,
                                     const ObservationWindow& history) {
   const uint64_t signature = plan.Signature();
   shards_.Erase(signature);
-  // Replay must rebuild the journal-determined trajectory, so the fresh
-  // state never consults neighbors — a recovered twin whose signatures
-  // arrive in digest order would otherwise see different neighbor sets than
-  // the live service did and diverge.
-  SignatureShardMap::LockedState locked = shards_.Emplace(
-      signature, BuildState(plan, signature, /*allow_transfer=*/false));
-  QueryState& state = *locked.state;
-  size_t replayed = 0;
-  for (const Observation& obs : history) {
-    if (!SanitizeReplayRow(obs)) continue;
-    observations_.Append(signature, obs);
-    ++replayed;
-    // Mirror the live pipeline exactly: accepted observations keep landing
-    // in the store and journal after a guardrail disable (the journal stage
-    // runs before the tune stage), but the tuner and guardrail stop
-    // evolving — so a restart reproduces the full history, not a prefix.
-    if (state.disabled) continue;
-    state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
-    if (options_.enable_guardrail && !state.guardrail.Record(obs)) {
-      state.disabled = true;
-    }
-  }
+  const size_t replayed = AppendReplayRows(signature, history);
+  shards_.Emplace(signature, Replay(signature, plan, history));
   return replayed;
-}
-
-Result<TuningService::RecoveryReport> TuningService::RecoverFromJournal(
-    const std::string& path, const std::vector<sparksim::QueryPlan>& plans) {
-  auto recovered = ObservationJournal::Recover(path);
-  if (!recovered.ok()) return recovered.status();
-
-  RecoveryReport report;
-  report.journal_clean = recovered->clean;
-  report.journal_status = recovered->tail_status;
-  report.observations_dropped = recovered->records_dropped;
-
-  std::map<uint64_t, const sparksim::QueryPlan*> by_signature;
-  for (const sparksim::QueryPlan& plan : plans) {
-    by_signature[plan.Signature()] = &plan;
-  }
-  for (uint64_t signature : recovered->store.Signatures()) {
-    auto it = by_signature.find(signature);
-    if (it == by_signature.end()) {
-      ++report.unknown_signatures;
-      continue;
-    }
-    const std::vector<Observation>& history =
-        recovered->store.History(signature);
-    const size_t replayed = ReplayHistory(*it->second, history);
-    report.observations_replayed += replayed;
-    report.observations_dropped += history.size() - replayed;
-    ++report.signatures_restored;
-  }
-  return report;
 }
 
 Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
@@ -675,29 +641,23 @@ Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
       continue;
     }
     restored.push_back(signature);
+    // Both modes load the same sanitized rows into the store, so lazy and
+    // eager twins end up with byte-identical stores; they differ only in
+    // when the tuner is rebuilt.
     const std::vector<Observation>& history = chain.store.History(signature);
+    const size_t kept = AppendReplayRows(signature, history);
+    report.observations_replayed += kept;
+    report.observations_dropped += history.size() - kept;
+    ++report.signatures_restored;
     if (recovery.lazy) {
-      // Bounded-memory startup: load the history and leave a replay
-      // tombstone; the tuner materializes on the signature's first touch.
-      // Same sanitize filter as the eager path so a lazy twin ends up with
-      // a byte-identical observation store.
-      size_t kept = 0;
-      for (const Observation& obs : history) {
-        if (!SanitizeReplayRow(obs)) continue;
-        observations_.Append(signature, obs);
-        ++kept;
-      }
+      // Bounded-memory startup: the tuner materializes on first touch.
       ColdEntry cold;
       cold.source = ColdSource::kReplay;
       shards_.InsertCold(signature, cold);
-      report.observations_replayed += kept;
-      report.observations_dropped += history.size() - kept;
     } else {
-      const size_t replayed = ReplayHistory(*plan, history);
-      report.observations_replayed += replayed;
-      report.observations_dropped += history.size() - replayed;
+      // From the chain's full history, not the retention-windowed store.
+      shards_.Emplace(signature, Replay(signature, *plan, history));
     }
-    ++report.signatures_restored;
   }
   // Pre-warm the transfer index from the checkpointed artifact, filtered to
   // the signatures this recovery actually restored. Eagerly-replayed

@@ -67,7 +67,8 @@ struct StateTierOptions {
   bool compress_artifacts = true;
   /// LZ-compress incremental checkpoint delta bodies.
   bool compress_checkpoints = true;
-  /// Collapse the delta chain into a full image beyond this many deltas.
+  /// Collapse the delta chain into a full image once it holds this many
+  /// deltas (0: every checkpoint is a full image).
   size_t max_delta_chain = 8;
   /// ... or beyond this fraction of the full image's size in delta bytes.
   double max_delta_bytes_fraction = 0.5;
@@ -321,10 +322,10 @@ class TuningService {
   /// Rotates the attached journal and compacts — the online checkpoint path
   /// behind `rockhopper checkpoint` and serve's --checkpoint-interval. With
   /// a state tier attached this is incremental: a delta proportional to the
-  /// churn since the last checkpoint, collapsed into a full image when the
-  /// chain exceeds the tier's policy (max_delta_chain /
-  /// max_delta_bytes_fraction). Without a tier it is always a full
-  /// compaction. FailedPrecondition without an attached journal.
+  /// churn since the last checkpoint, collapsed into a full image once the
+  /// chain holds max_delta_chain deltas or max_delta_bytes_fraction of the
+  /// image's bytes. Without a tier it is always a full compaction.
+  /// FailedPrecondition without an attached journal.
   Result<CheckpointReport> Checkpoint();
 
   /// Warm-restarts the tuning state of `plan`'s signature by replaying the
@@ -346,25 +347,16 @@ class TuningService {
     /// False when the journal had a truncated or corrupt tail.
     bool journal_clean = true;
     /// OK for a clean journal, kDataLoss for a recovered-around corrupt or
-    /// truncated tail (see ObservationJournal::Recovered::tail_status).
+    /// truncated tail (see JournalChain::tail_status).
     Status journal_status = Status::OK();
-    /// Chain recovery only: the checkpoint's sequence number (highest
-    /// absorbed segment index; 0 when no checkpoint existed), the number of
-    /// records replayed from the tail (sealed segments past the checkpoint
-    /// plus the live journal), and how many sealed segments that tail
-    /// spanned.
+    /// The checkpoint's sequence number (highest absorbed segment index; 0
+    /// when no checkpoint existed), the number of records replayed from the
+    /// tail (sealed segments past the checkpoint plus the live journal),
+    /// and how many sealed segments that tail spanned.
     uint64_t checkpoint_seq = 0;
     size_t tail_records = 0;
     size_t segments_replayed = 0;
   };
-
-  /// Restores the service from a crash-safe journal: recovers the longest
-  /// valid record prefix, then replays every signature that matches one of
-  /// `plans` through ReplayHistory. The service's observation store and
-  /// per-signature tuners/guardrails end up as if the journaled events had
-  /// just been ingested.
-  Result<RecoveryReport> RecoverFromJournal(
-      const std::string& path, const std::vector<sparksim::QueryPlan>& plans);
 
   struct RecoveryOptions {
     /// Eager (false): every recovered signature's tuner is rebuilt at
@@ -379,15 +371,25 @@ class TuningService {
     RecoveryOptions() : lazy(false) {}
   };
 
-  /// Restores the service from the checkpoint + journal-tail chain
-  /// (checkpoint records, then sealed segments past the checkpoint
-  /// sequence, then the live journal) — the bounded-memory startup path.
-  /// `plans` seeds the plan directory used to rebuild tuners; signatures
-  /// without a plan (and without a resolver from AttachStateTier) are
-  /// counted as unknown and skipped.
+  /// Restores the service from the journal's whole on-disk chain
+  /// (RecoverJournalChain: checkpoint image and deltas, then sealed segments
+  /// past the checkpoint sequence, then the live journal; a journal with no
+  /// checkpoint is a chain of length zero). The store ends up as if the
+  /// chain's events had just been ingested. Eager recovery then rebuilds
+  /// every restored signature's tuner and guardrail from the chain's full
+  /// history; lazy recovery leaves a replay tombstone instead. `plans` seeds
+  /// the plan directory used to rebuild tuners; signatures without a plan
+  /// (and without a resolver from AttachStateTier) are counted as unknown
+  /// and skipped.
   Result<RecoveryReport> RecoverFromCheckpoint(
       const std::string& path, const std::vector<sparksim::QueryPlan>& plans,
       RecoveryOptions recovery = RecoveryOptions());
+
+  /// Eager RecoverFromCheckpoint; kept only because perfbench/ calls it.
+  Result<RecoveryReport> RecoverFromJournal(
+      const std::string& path, const std::vector<sparksim::QueryPlan>& plans) {
+    return RecoverFromCheckpoint(path, plans);
+  }
 
   /// A human-readable rationale for this signature's latest proposal —
   /// centroid, candidate count, last gradient direction, step sizes, plus
@@ -466,16 +468,21 @@ class TuningService {
   /// budget.
   void EnforceObservationBudget();
   void StopStateSweeper();
-  /// Replays `signature`'s observation history through a fresh state.
-  /// Caller must hold the signature's shard lock or be single-threaded:
-  /// per-signature history only mutates under that same shard lock.
-  Result<QueryState> ReplayColdState(uint64_t signature,
-                                     const sparksim::QueryPlan& plan);
+  /// The one replay loop (eager recovery, fault-in, ReplayHistory): feeds
+  /// `rows` through a fresh, transfer-free state's tuner and guardrail,
+  /// skipping rows SanitizeReplayRow rejects. Touches neither the store
+  /// nor the shard map.
+  QueryState Replay(uint64_t signature, const sparksim::QueryPlan& plan,
+                    const std::vector<Observation>& rows);
+  /// Appends the rows of `rows` that pass SanitizeReplayRow to the store;
+  /// returns how many did.
+  size_t AppendReplayRows(uint64_t signature,
+                          const std::vector<Observation>& rows);
   /// Plan lookup across the recovery directory and the user resolver.
   const sparksim::QueryPlan* ResolvePlan(uint64_t signature) const;
-  /// Shared row filter for every replay path (eager, lazy, cold rebuild):
-  /// mirrors the ingestion boundary's finite/positive/arity checks so all
-  /// three produce identical observation stores.
+  /// Row filter of Replay and AppendReplayRows: mirrors the ingestion
+  /// boundary's finite/positive/arity checks, so eager, lazy and fault-in
+  /// paths see identical rows.
   bool SanitizeReplayRow(const Observation& obs) const;
 
   const sparksim::ConfigSpace& space_;

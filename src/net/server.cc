@@ -4,15 +4,10 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define ROCKHOPPER_HAVE_EPOLL 1
-#endif
 
 #include <cerrno>
 #include <chrono>
@@ -51,81 +46,30 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Readiness backend: level-triggered, one instance per event-loop thread.
-class Poller {
- public:
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, bool want_write) = 0;
-  virtual bool Update(int fd, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  virtual void Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-};
-
-/// poll(2) fallback: rebuilds the pollfd array per wait. Fine for the
-/// fallback role — the hot path on Linux is the epoll backend below.
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, bool want_write) override {
-    fds_[fd] = want_write;
-    return true;
-  }
-  bool Update(int fd, bool want_write) override {
-    auto it = fds_.find(fd);
-    if (it == fds_.end()) return false;
-    it->second = want_write;
-    return true;
-  }
-  void Remove(int fd) override { fds_.erase(fd); }
-
-  void Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    pfds_.clear();
-    for (const auto& [fd, want_write] : fds_) {
-      struct pollfd p;
-      p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-      p.revents = 0;
-      pfds_.push_back(p);
-    }
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const struct pollfd& p : pfds_) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-  }
-
- private:
-  std::unordered_map<int, bool> fds_;
-  std::vector<struct pollfd> pfds_;
-};
-
-#if defined(ROCKHOPPER_HAVE_EPOLL)
-class EpollPoller : public Poller {
+/// Level-triggered epoll readiness, one instance per event-loop thread.
+class EpollPoller {
  public:
   static std::unique_ptr<EpollPoller> Create() {
     const int fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (fd < 0) return nullptr;
     return std::unique_ptr<EpollPoller>(new EpollPoller(fd));
   }
-  ~EpollPoller() override { ::close(epfd_); }
+  ~EpollPoller() { ::close(epfd_); }
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
 
-  bool Add(int fd, bool want_write) override {
+  bool Add(int fd, bool want_write) {
     return Ctl(EPOLL_CTL_ADD, fd, want_write);
   }
-  bool Update(int fd, bool want_write) override {
+  bool Update(int fd, bool want_write) {
     return Ctl(EPOLL_CTL_MOD, fd, want_write);
   }
-  void Remove(int fd) override {
+  void Remove(int fd) {
     struct epoll_event ev = {};
     ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   }
 
-  void Wait(int timeout_ms, std::vector<PollEvent>* events) override {
+  void Wait(int timeout_ms, std::vector<PollEvent>* events) {
     struct epoll_event raw[64];
     const int n = ::epoll_wait(epfd_, raw, 64, timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -148,18 +92,6 @@ class EpollPoller : public Poller {
   }
   int epfd_;
 };
-#endif  // ROCKHOPPER_HAVE_EPOLL
-
-std::unique_ptr<Poller> MakePoller(bool prefer_epoll) {
-#if defined(ROCKHOPPER_HAVE_EPOLL)
-  if (prefer_epoll) {
-    if (auto poller = EpollPoller::Create()) return poller;
-  }
-#else
-  (void)prefer_epoll;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 struct Connection {
   explicit Connection(ServerCore* core) : session(core) {}
@@ -176,7 +108,7 @@ struct Connection {
 
 struct Server::IoThread {
   Server* server = nullptr;
-  std::unique_ptr<Poller> poller;
+  std::unique_ptr<EpollPoller> poller;
   std::unordered_map<int, std::unique_ptr<Connection>> connections;
   /// Self-pipe wakeup: other threads hand fds over / request stop.
   int wake_read = -1;
@@ -228,7 +160,14 @@ Status Server::Start() {
   for (int i = 0; i < threads; ++i) {
     auto io = std::make_unique<IoThread>();
     io->server = this;
-    io->poller = MakePoller(options_.use_epoll);
+    io->poller = EpollPoller::Create();
+    if (io->poller == nullptr) {
+      const std::string reason = std::strerror(errno);
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      threads_.clear();
+      return Status::IOError("epoll_create1: " + reason);
+    }
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0) {
       ::close(listen_fd_);

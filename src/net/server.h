@@ -19,16 +19,13 @@ struct ServerOptions {
   /// Event-loop threads. One is right for one core; connections are
   /// assigned round-robin when more are configured.
   int io_threads = 1;
-  /// False forces the poll(2) fallback loop even where epoll is available
-  /// (also used automatically when epoll setup fails).
-  bool use_epoll = true;
   /// Per-read buffer chunk.
   size_t read_chunk = 64 * 1024;
 };
 
 /// The network front end: a hand-rolled, dependency-free, non-blocking
-/// socket server. Listener + connections live on level-triggered event
-/// loops (epoll on Linux, poll(2) fallback); each connection owns a Session
+/// socket server. Listener + connections live on level-triggered epoll
+/// event loops (Linux only); each connection owns a Session
 /// (the protocol state machine in server_core.h), a read chunk, and a
 /// pending write buffer. TCP_NODELAY is set so small response frames are
 /// not Nagle-delayed under closed-loop clients.
@@ -46,7 +43,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the event-loop threads.
+  /// Binds, listens, and spawns the event-loop threads. kIOError when a
+  /// socket, epoll instance or wakeup pipe cannot be created.
   Status Start();
 
   /// The bound port (after Start); useful with options.port = 0.

@@ -1,35 +1,24 @@
-// Fuzz-style crash-shape coverage for ObservationJournal::Recover: every
-// possible truncation point and every possible single-bit corruption inside
-// the final record must recover the prior records intact, report the tail as
-// kDataLoss, and never crash.
+// Fuzz-style crash-shape coverage for journal recovery (RecoverJournalChain
+// over a lone journal): every possible truncation point and every possible
+// single-bit corruption inside the final record must recover the prior
+// records intact, report the tail as kDataLoss, and never crash.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/journal.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
 
 class JournalFuzzTest : public ::testing::Test {
  protected:
-  JournalFuzzTest() {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_journal_fuzz_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log"))
-                .string();
-    mutated_path_ = path_ + ".mutated";
-  }
-  ~JournalFuzzTest() override {
-    std::remove(path_.c_str());
-    std::remove(mutated_path_.c_str());
-  }
-
   Observation Obs(int iteration) {
     Observation o;
     o.config = {128.0 * 1024 * 1024, 10.0 * 1024 * 1024, 200.0 + iteration};
@@ -61,9 +50,8 @@ class JournalFuzzTest : public ::testing::Test {
   }
 
   // Asserts `recovered` holds exactly the first `n` generated observations.
-  void ExpectPrefixIntact(const ObservationJournal::Recovered& recovered,
-                          int n) {
-    EXPECT_EQ(recovered.records_recovered, static_cast<uint64_t>(n));
+  void ExpectPrefixIntact(const JournalChain& recovered, int n) {
+    EXPECT_EQ(recovered.tail_records, static_cast<uint64_t>(n));
     const std::vector<Observation>& history =
         recovered.store.History(kSignature);
     ASSERT_EQ(history.size(), static_cast<size_t>(n));
@@ -82,8 +70,9 @@ class JournalFuzzTest : public ::testing::Test {
 
   static constexpr uint64_t kSignature = 42;
   static constexpr int kRecords = 5;
-  std::string path_;
-  std::string mutated_path_;
+  const test_support::TestTempDir dir_;
+  const std::string path_ = dir_.File("journal.log");
+  const std::string mutated_path_ = dir_.File("mutated.log");
 };
 
 TEST_F(JournalFuzzTest, TruncationAtEveryOffsetInsideFinalRecord) {
@@ -97,7 +86,7 @@ TEST_F(JournalFuzzTest, TruncationAtEveryOffsetInsideFinalRecord) {
   // prior records recover intact and the damage is reported as data loss.
   for (size_t cut = last_start + 1; cut < bytes.size(); ++cut) {
     WriteMutated(bytes.substr(0, cut));
-    auto recovered = ObservationJournal::Recover(mutated_path_);
+    auto recovered = RecoverJournalChain(mutated_path_);
     ASSERT_TRUE(recovered.ok()) << "cut at " << cut;
     EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss)
         << "cut at " << cut;
@@ -107,13 +96,13 @@ TEST_F(JournalFuzzTest, TruncationAtEveryOffsetInsideFinalRecord) {
   // Cutting exactly at the record boundary is a clean shorter journal, and
   // the untouched file recovers everything.
   WriteMutated(bytes.substr(0, last_start));
-  auto boundary = ObservationJournal::Recover(mutated_path_);
+  auto boundary = RecoverJournalChain(mutated_path_);
   ASSERT_TRUE(boundary.ok());
   EXPECT_TRUE(boundary->tail_status.ok());
   ExpectPrefixIntact(*boundary, kRecords - 1);
 
   WriteMutated(bytes);
-  auto whole = ObservationJournal::Recover(mutated_path_);
+  auto whole = RecoverJournalChain(mutated_path_);
   ASSERT_TRUE(whole.ok());
   EXPECT_TRUE(whole->tail_status.ok());
   ExpectPrefixIntact(*whole, kRecords);
@@ -130,7 +119,7 @@ TEST_F(JournalFuzzTest, BitFlipAtEveryByteOfFinalRecord) {
     std::string mutated = bytes;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x01);
     WriteMutated(mutated);
-    auto recovered = ObservationJournal::Recover(mutated_path_);
+    auto recovered = RecoverJournalChain(mutated_path_);
     ASSERT_TRUE(recovered.ok()) << "flip at " << pos;
     EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss)
         << "flip at " << pos;
@@ -143,7 +132,7 @@ TEST_F(JournalFuzzTest, EmptyTailLineIsDataLoss) {
   // record; recovery keeps the records and flags the garbage.
   const std::string bytes = WriteJournal(kRecords);
   WriteMutated(bytes + "\n");
-  auto recovered = ObservationJournal::Recover(mutated_path_);
+  auto recovered = RecoverJournalChain(mutated_path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss);
   ExpectPrefixIntact(*recovered, kRecords);

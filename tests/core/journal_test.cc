@@ -9,19 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "support/test_temp_dir.h"
+
 namespace rockhopper::core {
 namespace {
 
 class JournalTest : public ::testing::Test {
  protected:
-  JournalTest() {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_journal_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log"))
-                .string();
-  }
-  ~JournalTest() override { std::remove(path_.c_str()); }
-
   Observation Obs(int iteration, double runtime, bool failed = false) {
     Observation o;
     o.config = {128.0 * 1024 * 1024, 10.0 * 1024 * 1024, 200.0};
@@ -43,7 +38,8 @@ class JournalTest : public ::testing::Test {
     out << content;
   }
 
-  std::string path_;
+  const test_support::TestTempDir dir_;
+  const std::string path_ = dir_.File("journal.log");
 };
 
 TEST_F(JournalTest, RoundTripExact) {
@@ -55,12 +51,11 @@ TEST_F(JournalTest, RoundTripExact) {
     ASSERT_TRUE(journal->Append(7, Obs(1, 1.0 / 3.0)).ok());
     ASSERT_TRUE(journal->Append(9, Obs(0, 123.456789012345, true)).ok());
   }
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->clean);
   EXPECT_TRUE(recovered->tail_status.ok());
-  EXPECT_EQ(recovered->records_recovered, 3u);
+  EXPECT_EQ(recovered->tail_records, 3u);
   EXPECT_EQ(recovered->records_dropped, 0u);
   ASSERT_EQ(recovered->store.Count(7), 2u);
   ASSERT_EQ(recovered->store.Count(9), 1u);
@@ -82,10 +77,9 @@ TEST_F(JournalTest, ReopenAppendsInsteadOfTruncating) {
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE(journal->Append(1, Obs(1, 11.0)).ok());
   }
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->records_recovered, 2u);
+  EXPECT_EQ(recovered->tail_records, 2u);
   EXPECT_TRUE(recovered->clean);
 }
 
@@ -100,12 +94,11 @@ TEST_F(JournalTest, TruncatedTailKeepsPrefix) {
   // Simulate a kill mid-write: chop the file mid-way through the last line.
   std::string content = ReadAll();
   WriteAll(content.substr(0, content.size() - 7));
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->clean);
   EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(recovered->records_recovered, 4u);
+  EXPECT_EQ(recovered->tail_records, 4u);
   EXPECT_EQ(recovered->records_dropped, 1u);
   EXPECT_GT(recovered->bytes_dropped, 0u);
   EXPECT_DOUBLE_EQ(recovered->store.History(1)[3].runtime, 13.0);
@@ -119,12 +112,11 @@ TEST_F(JournalTest, GarbageTailKeepsPrefix) {
     ASSERT_TRUE(journal->Append(1, Obs(1, 11.0)).ok());
   }
   WriteAll(ReadAll() + "\x01\x02garbage not a record\xff\n more trash\n");
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->clean);
   EXPECT_EQ(recovered->tail_status.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(recovered->records_recovered, 2u);
+  EXPECT_EQ(recovered->tail_records, 2u);
   EXPECT_EQ(recovered->records_dropped, 2u);
 }
 
@@ -146,11 +138,10 @@ TEST_F(JournalTest, BitFlippedRecordDropsFromThereOn) {
   // Flip a character well inside the payload (past the 9-char CRC prefix).
   content[line_start + 12] ^= 0x01;
   WriteAll(content);
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->clean);
-  EXPECT_EQ(recovered->records_recovered, 2u);
+  EXPECT_EQ(recovered->tail_records, 2u);
   EXPECT_EQ(recovered->records_dropped, 2u);
   ASSERT_EQ(recovered->store.Count(1), 2u);
   EXPECT_DOUBLE_EQ(recovered->store.History(1)[1].runtime, 21.0);
@@ -158,13 +149,13 @@ TEST_F(JournalTest, BitFlippedRecordDropsFromThereOn) {
 
 TEST_F(JournalTest, MissingFileIsError) {
   // Distinct from tail damage: the whole journal is absent, not corrupt.
-  EXPECT_EQ(ObservationJournal::Recover(path_ + ".nope").status().code(),
+  EXPECT_EQ(RecoverJournalChain(path_ + ".nope").status().code(),
             StatusCode::kNotFound);
 }
 
 TEST_F(JournalTest, ForeignHeaderIsError) {
   WriteAll("not a rockhopper journal\nwhatever\n");
-  EXPECT_EQ(ObservationJournal::Recover(path_).status().code(),
+  EXPECT_EQ(RecoverJournalChain(path_).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -173,11 +164,10 @@ TEST_F(JournalTest, EmptyJournalRecoversEmpty) {
     Result<ObservationJournal> journal = ObservationJournal::Open(path_);
     ASSERT_TRUE(journal.ok());
   }
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->clean);
-  EXPECT_EQ(recovered->records_recovered, 0u);
+  EXPECT_EQ(recovered->tail_records, 0u);
 }
 
 TEST_F(JournalTest, GroupCommitRoundTripMatchesSynchronousBytes) {
@@ -221,10 +211,9 @@ TEST_F(JournalTest, GroupCommitSyncMakesRecordsDurable) {
   // After Sync every enqueued record must be recoverable, with the writer
   // thread still running.
   journal->Sync();
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->records_recovered, 10u);
+  EXPECT_EQ(recovered->tail_records, 10u);
   journal->StopGroupCommit();
 }
 
@@ -242,11 +231,10 @@ TEST_F(JournalTest, GroupCommitStopDrainsQueue) {
     ASSERT_TRUE(journal->Append(1, Obs(i, 1.0 + i)).ok());
   }
   journal->StopGroupCommit();
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->clean);
-  EXPECT_EQ(recovered->records_recovered, static_cast<size_t>(kRecords));
+  EXPECT_EQ(recovered->tail_records, static_cast<size_t>(kRecords));
   // Order preserved: iterations are the append order.
   for (int i = 0; i < kRecords; ++i) {
     EXPECT_EQ(recovered->store.History(1)[static_cast<size_t>(i)].iteration,
@@ -272,8 +260,7 @@ TEST_F(JournalTest, GroupCommitConcurrentProducersLoseNothing) {
   }
   for (std::thread& producer : producers) producer.join();
   journal->Close();  // stops group commit first, then closes
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->clean);
   for (int t = 0; t < kThreads; ++t) {
@@ -317,8 +304,7 @@ TEST_F(JournalTest, MoveStopsGroupCommitAndDrains) {
   EXPECT_TRUE(moved.is_open());
   ASSERT_TRUE(moved.Append(5, Obs(20, 22.0)).ok());
   moved.Close();
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path_);
+  Result<JournalChain> recovered = RecoverJournalChain(path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->store.Count(5), 21u);
 }

@@ -212,7 +212,8 @@ TEST_F(TransferServiceTest, RecoveryPathsNeverConsultTransfer) {
   ASSERT_TRUE(live.Shutdown().ok());
 
   TuningService armed(space_, nullptr, TransferOn(), 24);
-  auto armed_report = armed.RecoverFromJournal(journal_path, {plan_a, plan_b});
+  auto armed_report =
+      armed.RecoverFromCheckpoint(journal_path, {plan_a, plan_b});
   ASSERT_TRUE(armed_report.ok());
   EXPECT_EQ(armed_report->signatures_restored, 2u);
   // Replay registered both embeddings even though it never consulted them.
@@ -221,7 +222,7 @@ TEST_F(TransferServiceTest, RecoveryPathsNeverConsultTransfer) {
   TuningServiceOptions off = TransferOn();
   off.transfer.enabled = false;
   TuningService plain(space_, nullptr, off, 24);
-  ASSERT_TRUE(plain.RecoverFromJournal(journal_path, {plan_a, plan_b}).ok());
+  ASSERT_TRUE(plain.RecoverFromCheckpoint(journal_path, {plan_a, plan_b}).ok());
 
   EXPECT_EQ(armed.OnQueryStart(plan_a, 1.0), plain.OnQueryStart(plan_a, 1.0));
   EXPECT_EQ(armed.OnQueryStart(plan_b, 1.0), plain.OnQueryStart(plan_b, 1.0));

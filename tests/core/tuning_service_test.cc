@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/journal.h"
 #include "sparksim/simulator.h"
@@ -22,6 +27,34 @@ class TuningServiceTest : public ::testing::Test {
     options.guardrail.min_iterations = 10;
     options.centroid.num_candidates = 8;
     return options;
+  }
+
+  /// The per-signature tuning state a journal replay must reproduce:
+  /// histories, guardrail counters, iteration counts and incumbents.
+  std::string TuningStateDigest(const TuningService& service,
+                                const std::vector<uint64_t>& signatures) {
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (uint64_t signature : signatures) {
+      out << signature << ':';
+      for (const Observation& obs :
+           service.observations().History(signature)) {
+        out << obs.iteration << ',' << obs.failed << ',' << obs.data_size
+            << ',' << obs.runtime;
+        for (double v : obs.config) out << ',' << v;
+        out << ';';
+      }
+      if (auto g = service.GuardrailState(signature); g.ok()) {
+        out << g->strikes << ',' << g->failure_strikes << ','
+            << g->consecutive_failures << ',' << g->disabled;
+      }
+      out << '|' << service.IterationCount(signature) << '|';
+      if (auto c = service.IncumbentConfig(signature); c.ok()) {
+        for (double v : *c) out << v << ',';
+      }
+      out << '\n';
+    }
+    return out.str();
   }
 
   sparksim::ConfigSpace space_;
@@ -425,14 +458,13 @@ TEST_F(TuningServiceTest, JournalRecordsAcceptedObservationsOnly) {
     service.OnQueryEnd(plan, Event(c, 31.0));
     EXPECT_EQ(service.journal_errors(), 0u);
   }
-  Result<ObservationJournal::Recovered> recovered =
-      ObservationJournal::Recover(path);
+  Result<JournalChain> recovered = RecoverJournalChain(path);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->records_recovered, 2u);  // the NaN never made it in
+  EXPECT_EQ(recovered->tail_records, 2u);  // the NaN never made it in
   std::remove(path.c_str());
 }
 
-TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
+TEST_F(TuningServiceTest, RecoverFromCheckpointRestoresLoneJournal) {
   const test_support::TestTempDir dir;
   const std::string path = dir.File("recover.log");
   std::remove(path.c_str());
@@ -454,9 +486,10 @@ TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
   }
   TuningService restarted(space_, nullptr, FastOptions(), 29);
   Result<TuningService::RecoveryReport> report =
-      restarted.RecoverFromJournal(path, {plan_a, plan_b});
+      restarted.RecoverFromCheckpoint(path, {plan_a, plan_b});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->journal_clean);
+  EXPECT_EQ(report->checkpoint_seq, 0u);
   EXPECT_EQ(report->signatures_restored, 2u);
   EXPECT_EQ(report->observations_replayed, 16u);
   EXPECT_EQ(report->observations_dropped, 0u);
@@ -467,7 +500,7 @@ TEST_F(TuningServiceTest, RecoverFromJournalRestoresState) {
   std::remove(path.c_str());
 }
 
-TEST_F(TuningServiceTest, RecoverFromJournalCountsUnknownSignatures) {
+TEST_F(TuningServiceTest, RecoverFromCheckpointCountsUnknownSignatures) {
   const test_support::TestTempDir dir;
   const std::string path = dir.File("unknown.log");
   std::remove(path.c_str());
@@ -483,11 +516,201 @@ TEST_F(TuningServiceTest, RecoverFromJournalCountsUnknownSignatures) {
   TuningService restarted(space_, nullptr, FastOptions(), 31);
   // Recover with a plan set that does not contain the journaled signature.
   Result<TuningService::RecoveryReport> report =
-      restarted.RecoverFromJournal(path, {sparksim::TpchPlan(12)});
+      restarted.RecoverFromCheckpoint(path, {sparksim::TpchPlan(12)});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->signatures_restored, 0u);
   EXPECT_EQ(report->unknown_signatures, 1u);
   std::remove(path.c_str());
+}
+
+/// Regression: RecoverFromJournal once read only the live journal file, so
+/// after any checkpoint rotation it silently restored just the tail written
+/// since. It now restores the whole chain, exactly like
+/// RecoverFromCheckpoint.
+TEST_F(TuningServiceTest, RecoverFromJournalRestoresWholeChainAfterCheckpoint) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("chain.log");
+  const sparksim::QueryPlan plan_a = sparksim::TpchPlan(13);
+  const sparksim::QueryPlan plan_b = sparksim::TpchPlan(14);
+  const std::vector<uint64_t> signatures = {plan_a.Signature(),
+                                            plan_b.Signature()};
+  std::string live_digest;
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService service(space_, nullptr, FastOptions(), 33);
+    service.AttachJournal(&*journal);
+    const auto ingest = [&](int runs, double base) {
+      for (int i = 0; i < runs; ++i) {
+        for (const sparksim::QueryPlan* plan : {&plan_a, &plan_b}) {
+          const sparksim::ConfigVector c = service.OnQueryStart(*plan, 1.0);
+          service.OnQueryEnd(*plan, Event(c, base - i));
+        }
+      }
+    };
+    ingest(8, 50.0);
+    ASSERT_TRUE(CheckpointLive(&*journal).ok());
+    ingest(6, 40.0);
+    live_digest = TuningStateDigest(service, signatures);
+  }
+
+  TuningService from_journal(space_, nullptr, FastOptions(), 33);
+  Result<TuningService::RecoveryReport> report =
+      from_journal.RecoverFromJournal(path, {plan_a, plan_b});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->journal_clean);
+  EXPECT_GT(report->checkpoint_seq, 0u);
+  EXPECT_EQ(report->observations_replayed, 28u);
+  EXPECT_EQ(report->tail_records, 12u);
+  EXPECT_EQ(from_journal.observations().Count(plan_a.Signature()), 14u);
+  EXPECT_EQ(from_journal.IterationCount(plan_b.Signature()), 14u);
+
+  TuningService from_chain(space_, nullptr, FastOptions(), 33);
+  ASSERT_TRUE(from_chain.RecoverFromCheckpoint(path, {plan_a, plan_b}).ok());
+  EXPECT_EQ(TuningStateDigest(from_journal, signatures),
+            TuningStateDigest(from_chain, signatures));
+  EXPECT_EQ(TuningStateDigest(from_journal, signatures), live_digest);
+}
+
+TEST_F(TuningServiceTest, RecoverFromCheckpointReplaysDeltaChain) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("delta.log");
+  const sparksim::QueryPlan plan_a = sparksim::TpchPlan(15);
+  const sparksim::QueryPlan plan_b = sparksim::TpchPlan(16);
+  const std::vector<uint64_t> signatures = {plan_a.Signature(),
+                                            plan_b.Signature()};
+  std::string live_digest;
+  uint64_t delta_seq = 0;
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService service(space_, nullptr, FastOptions(), 35);
+    service.AttachJournal(&*journal);
+    const auto ingest = [&](int runs, double base) {
+      for (int i = 0; i < runs; ++i) {
+        for (const sparksim::QueryPlan* plan : {&plan_a, &plan_b}) {
+          const sparksim::ConfigVector c = service.OnQueryStart(*plan, 1.0);
+          service.OnQueryEnd(*plan, Event(c, base - i));
+        }
+      }
+    };
+    ingest(5, 50.0);
+    Result<CheckpointReport> full =
+        CheckpointLive(&*journal, DeltaCheckpointPolicy{});
+    ASSERT_TRUE(full.ok());
+    ASSERT_EQ(full->delta_index, 0u);
+    ingest(4, 45.0);
+    Result<CheckpointReport> delta =
+        CheckpointLive(&*journal, DeltaCheckpointPolicy{});
+    ASSERT_TRUE(delta.ok());
+    ASSERT_EQ(delta->delta_index, 1u);
+    delta_seq = delta->last_segment;
+    ingest(3, 40.0);
+    live_digest = TuningStateDigest(service, signatures);
+  }
+
+  TuningService restarted(space_, nullptr, FastOptions(), 35);
+  Result<TuningService::RecoveryReport> report =
+      restarted.RecoverFromCheckpoint(path, {plan_a, plan_b});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->journal_clean);
+  EXPECT_EQ(report->checkpoint_seq, delta_seq);
+  EXPECT_EQ(report->observations_replayed, 24u);
+  EXPECT_EQ(report->tail_records, 6u);
+  EXPECT_EQ(report->segments_replayed, 0u);
+  EXPECT_EQ(TuningStateDigest(restarted, signatures), live_digest);
+}
+
+TEST_F(TuningServiceTest, RecoverFromCheckpointReportsTornTail) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("torn.log");
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(17);
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService service(space_, nullptr, FastOptions(), 37);
+    service.AttachJournal(&*journal);
+    for (int i = 0; i < 5; ++i) {
+      const sparksim::ConfigVector c = service.OnQueryStart(plan, 1.0);
+      service.OnQueryEnd(plan, Event(c, 30.0 + i));
+    }
+  }
+  // The writer died mid-record: the last record lost its final bytes.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+
+  TuningService restarted(space_, nullptr, FastOptions(), 37);
+  Result<TuningService::RecoveryReport> report =
+      restarted.RecoverFromCheckpoint(path, {plan});
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->journal_clean);
+  EXPECT_EQ(report->journal_status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(report->observations_dropped, 1u);
+  EXPECT_EQ(report->observations_replayed, 4u);
+  EXPECT_EQ(restarted.IterationCount(plan.Signature()), 4u);
+}
+
+TEST_F(TuningServiceTest, RecoverFromCheckpointMissingJournalIsNotFound) {
+  const test_support::TestTempDir dir;
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(18);
+  TuningService service(space_, nullptr, FastOptions(), 39);
+  Result<TuningService::RecoveryReport> report =
+      service.RecoverFromCheckpoint(dir.File("absent.log"), {plan});
+  EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
+  // A cold start: the service still tunes from scratch.
+  EXPECT_EQ(service.IterationCount(plan.Signature()), 0u);
+  EXPECT_TRUE(space_.Validate(service.OnQueryStart(plan, 1.0)).ok());
+}
+
+TEST_F(TuningServiceTest, LazyRecoveryRequiresStateTier) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("lazy.log");
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(19);
+  {
+    Result<ObservationJournal> journal = ObservationJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    TuningService service(space_, nullptr, FastOptions(), 41);
+    service.AttachJournal(&*journal);
+    const sparksim::ConfigVector c = service.OnQueryStart(plan, 1.0);
+    service.OnQueryEnd(plan, Event(c, 30.0));
+  }
+  TuningService restarted(space_, nullptr, FastOptions(), 41);
+  TuningService::RecoveryOptions lazy;
+  lazy.lazy = true;
+  Result<TuningService::RecoveryReport> report =
+      restarted.RecoverFromCheckpoint(path, {plan}, lazy);
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  // Refused before reading anything.
+  EXPECT_EQ(restarted.observations().Count(plan.Signature()), 0u);
+}
+
+TEST_F(TuningServiceTest, CheckpointWithoutJournalIsFailedPrecondition) {
+  TuningService service(space_, nullptr, FastOptions(), 43);
+  EXPECT_EQ(service.Checkpoint().status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(TuningServiceTest, CheckpointWithoutStateTierIsAlwaysFullImage) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("full.log");
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(20);
+  Result<ObservationJournal> journal = ObservationJournal::Open(path);
+  ASSERT_TRUE(journal.ok());
+  TuningService service(space_, nullptr, FastOptions(), 45);
+  service.AttachJournal(&*journal);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      const sparksim::ConfigVector c = service.OnQueryStart(plan, 1.0);
+      service.OnQueryEnd(plan, Event(c, 30.0 + i));
+    }
+    Result<CheckpointReport> report = service.Checkpoint();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->delta_index, 0u) << "round " << round;
+    EXPECT_EQ(report->records, static_cast<size_t>(2 * (round + 1)));
+  }
+  Result<std::vector<std::pair<uint64_t, std::string>>> deltas =
+      ListCheckpointDeltas(path);
+  ASSERT_TRUE(deltas.ok());
+  EXPECT_TRUE(deltas->empty());
 }
 
 }  // namespace

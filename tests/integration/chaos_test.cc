@@ -230,7 +230,7 @@ TEST(ChaosTest, JournalKillAndRecoverRestoresCounts) {
   options.centroid.num_candidates = 8;
   TuningService restarted(space, nullptr, options, 6);
   Result<TuningService::RecoveryReport> report =
-      restarted.RecoverFromJournal(path, {plan_a, plan_b});
+      restarted.RecoverFromCheckpoint(path, {plan_a, plan_b});
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->journal_clean);
   EXPECT_EQ(report->observations_replayed, 17u);

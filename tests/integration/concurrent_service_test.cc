@@ -198,10 +198,10 @@ TEST_F(ConcurrentServiceTest, JournalRecoveryMatchesSingleThreadedRun) {
   }
 
   TuningService from_one(space, nullptr, {}, kSeed);
-  auto report_one = from_one.RecoverFromJournal(base_ + ".j1", plans);
+  auto report_one = from_one.RecoverFromCheckpoint(base_ + ".j1", plans);
   ASSERT_TRUE(report_one.ok());
   TuningService from_four(space, nullptr, {}, kSeed);
-  auto report_four = from_four.RecoverFromJournal(base_ + ".j4", plans);
+  auto report_four = from_four.RecoverFromCheckpoint(base_ + ".j4", plans);
   ASSERT_TRUE(report_four.ok());
 
   // Group commit ended with a clean drain in both runs, and every accepted

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -438,20 +440,24 @@ TEST_F(LoopbackTest, AdminVerbOverRealSockets) {
   server.Stop(1000);
 }
 
-TEST_F(LoopbackTest, PollFallbackServesTraffic) {
+TEST_F(LoopbackTest, EpollFailureFailsStartInsteadOfDegrading) {
   ServerCore core(&service_, &registry_, ServerCoreOptions());
-  ServerOptions options;
-  options.use_epoll = false;
-  Server server(&core, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  client.SetRecvTimeout(5000);
-  Client::Response response;
-  ASSERT_TRUE(client.Call(Verb::kHealth, 1, "", &response).ok());
-  EXPECT_EQ(response.status, WireStatus::kOk);
-  server.Stop(1000);
+  Server server(&core, ServerOptions());
+  // Leave exactly one free descriptor below the limit: the listening socket
+  // takes it, so epoll_create1 fails with EMFILE.
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  struct rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  const Status started = server.Start();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(started.code(), StatusCode::kIOError) << started.ToString();
+  EXPECT_NE(started.ToString().find("epoll_create1"), std::string::npos)
+      << started.ToString();
 }
 
 TEST_F(LoopbackTest, MalformedBytesGetBadFrameThenDisconnect) {

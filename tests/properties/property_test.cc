@@ -12,7 +12,6 @@
 #include "core/embedding.h"
 #include "core/flow2_tuner.h"
 #include "core/manual_policy.h"
-#include "core/simple_tuners.h"
 #include "sparksim/cost_model.h"
 #include "sparksim/synthetic.h"
 #include "sparksim/workloads.h"
@@ -92,19 +91,17 @@ std::unique_ptr<Tuner> MakeBo(const sparksim::ConfigSpace& space,
   return std::make_unique<core::BoTuner>(space, space.Defaults(),
                                          core::BoTunerOptions{}, seed);
 }
+std::unique_ptr<Tuner> MakeContextualBo(const sparksim::ConfigSpace& space,
+                                       uint64_t seed) {
+  core::BoTunerOptions options;
+  options.data_size_feature = true;
+  return std::make_unique<core::BoTuner>(space, space.Defaults(), options,
+                                         seed);
+}
 std::unique_ptr<Tuner> MakeFlow2(const sparksim::ConfigSpace& space,
                                  uint64_t seed) {
   return std::make_unique<core::Flow2Tuner>(space, space.Defaults(),
                                             core::Flow2Options{}, seed);
-}
-std::unique_ptr<Tuner> MakeHill(const sparksim::ConfigSpace& space,
-                                uint64_t seed) {
-  return std::make_unique<core::HillClimbTuner>(space, space.Defaults(), 0.1,
-                                                seed);
-}
-std::unique_ptr<Tuner> MakeRandom(const sparksim::ConfigSpace& space,
-                                  uint64_t seed) {
-  return std::make_unique<core::RandomSearchTuner>(space, seed);
 }
 std::unique_ptr<Tuner> MakeExpert(const sparksim::ConfigSpace& space,
                                   uint64_t seed) {
@@ -164,9 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllTuners, TunerContract,
     ::testing::Values(TunerCase{"centroid", &MakeCl},
                       TunerCase{"bo", &MakeBo},
+                      TunerCase{"contextual_bo", &MakeContextualBo},
                       TunerCase{"flow2", &MakeFlow2},
-                      TunerCase{"hill", &MakeHill},
-                      TunerCase{"random", &MakeRandom},
                       TunerCase{"expert", &MakeExpert}),
     [](const ::testing::TestParamInfo<TunerCase>& info) {
       return info.param.name;

@@ -21,10 +21,12 @@ class TestTempDir {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string name = "rockhopper-";
-    name += info != nullptr
-                ? std::string(info->test_suite_name()) + "." + info->name()
-                : "test";
-    name += "-" + std::to_string(::getpid());
+    if (info != nullptr) {
+      name.append(info->test_suite_name()).append(".").append(info->name());
+    } else {
+      name.append("test");
+    }
+    name.append("-").append(std::to_string(::getpid()));
     std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
     path_ = std::filesystem::temp_directory_path() / name;
     std::filesystem::remove_all(path_);

@@ -388,8 +388,8 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
   // holds when the twin replays exactly this run's history.
   uint64_t baseline_records = 0;
   if (journaled) {
-    if (auto prior = ObservationJournal::Recover(journal_path); prior.ok()) {
-      baseline_records = prior->records_recovered;
+    if (auto prior = RecoverJournalChain(journal_path); prior.ok()) {
+      baseline_records = prior->checkpoint_records + prior->tail_records;
     }
     auto opened = ObservationJournal::Open(journal_path);
     if (!opened.ok()) {
@@ -499,7 +499,7 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
                 journal_path.c_str(),
                 static_cast<unsigned long long>(out.journal_errors));
   }
-  auto recovered = ObservationJournal::Recover(journal_path);
+  auto recovered = RecoverJournalChain(journal_path);
   if (!recovered.ok()) {
     out.violations.push_back("journal recovery failed: " +
                              recovered.status().ToString());
@@ -509,17 +509,18 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
     out.violations.push_back("journal tail unclean after clean shutdown: " +
                              recovered->tail_status.ToString());
   }
-  if (recovered->records_recovered - baseline_records + out.journal_errors !=
-      out.accepted) {
+  const uint64_t records =
+      recovered->checkpoint_records + recovered->tail_records;
+  if (records - baseline_records + out.journal_errors != out.accepted) {
     out.violations.push_back(
         "journal accounting broken: recovered " +
-        std::to_string(recovered->records_recovered - baseline_records) +
+        std::to_string(records - baseline_records) +
         " + errors " + std::to_string(out.journal_errors) +
         " != accepted " + std::to_string(out.accepted));
   }
   if (baseline_records > 0) return out;
   TuningService twin(space, nullptr, service_options, seed);
-  if (auto report = twin.RecoverFromJournal(journal_path, plans);
+  if (auto report = twin.RecoverFromCheckpoint(journal_path, plans);
       !report.ok()) {
     out.violations.push_back("service recovery failed: " +
                              report.status().ToString());
@@ -946,7 +947,6 @@ int RunServeListen(const Args& args) {
     return 2;
   }
   server_options.io_threads = args.GetInt("io-threads", 1);
-  server_options.use_epoll = args.Get("poll", "") != "true";
   net::Server server(&core, server_options);
   if (Status st = server.Start(); !st.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
@@ -1635,7 +1635,7 @@ void PrintUsage() {
       "          protocol over TCP instead (epoll event loop; Ctrl-C or\n"
       "          --duration-s=N drains and prints the exit report):\n"
       "                 --listen[=PORT|HOST:PORT] --duration-s=N\n"
-      "                 --drain-ms=N --io-threads=N --poll (force poll(2))\n"
+      "                 --drain-ms=N --io-threads=N\n"
       "                 --tenant-rate=R --tenant-burst-s=S (token buckets)\n"
       "                 --flush-p99-target=S --queue-target=N (admission)\n"
       "                 --net-batch=N --journal=FILE --memory-budget=BYTES\n"
