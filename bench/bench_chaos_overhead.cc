@@ -97,7 +97,7 @@ void BM_SanitizerAdmit(benchmark::State& state) {
 }
 BENCHMARK(BM_SanitizerAdmit);
 
-// One journal append (format + CRC + fwrite + flush).
+// One flushed journal append (format + CRC + fwrite, then Sync's fflush).
 void BM_JournalAppend(benchmark::State& state) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "rockhopper_bench_append.log")
@@ -115,6 +115,7 @@ void BM_JournalAppend(benchmark::State& state) {
   obs.iteration = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(journal->Append(1, obs));
+    benchmark::DoNotOptimize(journal->Sync());
   }
   journal->Close();
   std::remove(path.c_str());

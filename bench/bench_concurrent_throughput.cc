@@ -6,7 +6,7 @@
 // Spark cluster holds a tenant's thread for the job's duration; the
 // analytic simulator itself returns instantly). Tenant threads therefore
 // overlap their waits, and throughput scales until the service's own
-// serial CPU — sharded state + staged ingestion + group-commit journal —
+// serial CPU — sharded state + staged ingestion + journal commits —
 // becomes the bottleneck. The latency=0 row measures that raw service
 // overhead on its own.
 //
@@ -44,7 +44,6 @@ Row RunOnce(const std::vector<sparksim::QueryPlan>& plans, int threads,
     auto opened = core::ObservationJournal::Open(journal_path);
     if (opened.ok()) {
       journal = std::move(*opened);
-      journal.StartGroupCommit({});
       service.AttachJournal(&journal);
     }
   }
@@ -55,9 +54,7 @@ Row RunOnce(const std::vector<sparksim::QueryPlan>& plans, int threads,
   options.execution_latency_us = latency_us;
   options.seed = 1234;
   tools::ConcurrentDriver driver(&service, options);
-  Row row{threads, driver.Run(plans)};
-  journal.StopGroupCommit();
-  return row;
+  return Row{threads, driver.Run(plans)};
 }
 
 }  // namespace
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
                 "iterations, %d us simulated execution latency%s "
                 "(metrics %s)\n\n",
                 plans.size(), iterations, latency_us,
-                journal_path.empty() ? "" : ", group-commit journal",
+                journal_path.empty() ? "" : ", journaled",
                 rockhopper::common::MetricsEnabled() ? "on" : "off");
   }
 

@@ -173,10 +173,6 @@ int main() {
                    journal.status().ToString().c_str());
       return 1;
     }
-    core::GroupCommitOptions gc;
-    gc.max_batch = 512;
-    gc.queue_capacity = 8192;
-    (void)journal->StartGroupCommit(gc);
     for (size_t i = 0; bulk_records < num_signatures - touch; ++i) {
       const uint64_t signature = common::SplitMix64(0x62756c6b ^ (i + 1));
       if (signature == 0 || sample_set.count(signature) != 0) continue;
@@ -187,7 +183,6 @@ int main() {
       bulk_signatures.push_back(signature);
       ++bulk_records;
     }
-    journal->StopGroupCommit();
     const auto t_ckpt0 = std::chrono::steady_clock::now();
     auto report = core::CheckpointLive(&*journal);
     if (!report.ok()) {
@@ -207,6 +202,10 @@ int main() {
         std::fprintf(stderr, "churn append failed\n");
         return 1;
       }
+    }
+    if (!journal->Sync().ok()) {
+      std::fprintf(stderr, "churn sync failed\n");
+      return 1;
     }
     // Digest the to-be-absorbed state while the churn still sits in the
     // live tail: the full+delta chain must replay byte-for-byte the same

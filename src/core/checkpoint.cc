@@ -526,11 +526,11 @@ Result<CheckpointReport> CheckpointLive(ObservationJournal* journal,
   if (journal == nullptr || !journal->is_open()) {
     return Status::FailedPrecondition("journal is not open");
   }
-  // The sequence barrier: drain group commit and seal the live file, so the
-  // compactor absorbs every record acked before this call without ever
-  // touching the file writers are appending to. The rotation index floor
-  // keeps numbering monotonic past segments earlier compactions (full or
-  // delta) absorbed and deleted (see Rotate's doc).
+  // The sequence barrier: commit the staged records and seal the live file,
+  // so the compactor absorbs every record acked before this call without
+  // ever touching the file writers are appending to. The rotation index
+  // floor keeps numbering monotonic past segments earlier compactions (full
+  // or delta) absorbed and deleted (see Rotate's doc).
   ROCKHOPPER_ASSIGN_OR_RETURN(chain, DiscoverChain(journal->path()));
   ROCKHOPPER_RETURN_IF_ERROR(journal->Rotate(chain.chain_seq + 1).status());
   return Checkpoint(journal->path(), policy);

@@ -31,8 +31,8 @@ namespace rockhopper::core {
 ///    leaves absorbed segments on disk; recovery skips them because their
 ///    index is <= the new checkpoint's last-segment.
 /// The compactor never touches the live file: the sequence barrier between
-/// group commit and checkpointing is ObservationJournal::Rotate(), which
-/// drains in-flight records and seals the live file as a new segment.
+/// appends and checkpointing is ObservationJournal::Rotate(), which commits
+/// the staged records and seals the live file as a new segment.
 ///
 /// Incremental checkpoints stack *delta* files on the full image so
 /// steady-state checkpoint I/O is proportional to churn, not population:
@@ -115,7 +115,7 @@ struct DeltaCheckpointPolicy {
 Result<CheckpointReport> Checkpoint(const std::string& journal_path,
                                     const DeltaCheckpointPolicy& policy);
 
-/// Live checkpoint: rotates `journal` (the group-commit sequence barrier —
+/// Live checkpoint: rotates `journal` (the journal's sequence barrier —
 /// every acked record lands in a sealed segment), then runs Checkpoint. The
 /// service keeps appending throughout; only the rotation itself briefly
 /// blocks writers. The default policy makes every checkpoint a full image.

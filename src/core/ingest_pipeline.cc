@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/statistics.h"
 #include "sim/buggify.h"
 
@@ -67,15 +66,8 @@ bool TuneStage::Apply(const Observation& obs, QueryState* state) const {
 }
 
 void JournalStage::Append(ObservationJournal* journal, uint64_t signature,
-                          const Observation& obs) {
-  if (journal == nullptr) return;
-  if (journal->Append(signature, obs).ok()) return;
-  ServiceMetrics::Get().journal_errors->Increment();
-  const uint64_t count = errors_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (count == 1 || count % 100 == 0) {
-    ROCKHOPPER_LOG(kWarning) << "journal append failed (" << count
-                             << " errors so far): " << journal->path();
-  }
+                          const Observation& obs) const {
+  if (journal != nullptr) (void)journal->Append(signature, obs);
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #ifndef ROCKHOPPER_CORE_INGEST_PIPELINE_H_
 #define ROCKHOPPER_CORE_INGEST_PIPELINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -91,21 +90,14 @@ class TuneStage {
   bool enable_guardrail_;
 };
 
-/// Stage 4 — journal: appends the accepted observation to the crash-safe
-/// journal (when attached). I/O errors are counted, never fatal to the
-/// tuning path, and surfaced with a rate-limited warning — the first error
-/// and every 100th thereafter — so silent journal loss stays visible.
+/// Stage 4 — journal: stages the accepted observation in the crash-safe
+/// journal (when attached). I/O errors are never fatal to the tuning path:
+/// the journal counts each lost record (lost_records) and warns rate-limited.
+/// TuningService commits the staged records with one Sync before it acks.
 class JournalStage {
  public:
   void Append(ObservationJournal* journal, uint64_t signature,
-              const Observation& obs);
-
-  uint64_t errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> errors_{0};
+              const Observation& obs) const;
 };
 
 /// The OnQueryEnd ingestion path as an explicit staged pipeline:
@@ -135,23 +127,23 @@ class IngestPipeline {
 
   /// Runs one telemetry delivery through all stages against the (locked)
   /// state. Rejected events only move the counters. Returns the sanitize
-  /// verdict; kAccept means the observation was stored, journaled, and fed
-  /// to the tuner (unless the signature is disabled).
+  /// verdict; kAccept means the observation was stored, staged in the
+  /// journal, and fed to the tuner (unless the signature is disabled).
   TelemetryVerdict Ingest(uint64_t signature, const QueryEndEvent& event,
                           QueryState* state, ObservationStore* store,
                           ObservationJournal* journal);
 
   /// Batch form for the network front end: every event of one signature
   /// runs under the caller's single held shard lock, verdicts appended in
-  /// event order. The journal appends land in the same group-commit window,
-  /// so one network batch amortizes both the shard lock and the flush.
+  /// event order. The caller's one Sync after the batch commits every journal
+  /// append, so one network batch amortizes both the shard lock and the
+  /// flush.
   void IngestBatch(uint64_t signature, const QueryEndEvent* const* events,
                    size_t count, QueryState* state, ObservationStore* store,
                    ObservationJournal* journal,
                    std::vector<TelemetryVerdict>* verdicts);
 
   const TelemetryStats& stats() const { return sanitize_.stats(); }
-  uint64_t journal_errors() const { return journal_.errors(); }
 
  private:
   /// One pass through the stages; Ingest() wraps it with the simulation's

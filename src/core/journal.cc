@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <filesystem>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -96,30 +95,20 @@ bool ParseJournalLine(const std::string& line, uint64_t* signature,
 ObservationJournal::~ObservationJournal() { Close(); }
 
 ObservationJournal::ObservationJournal(ObservationJournal&& other) noexcept {
-  other.StopGroupCommit();  // drain; the writer thread references `other`
-  file_ = other.file_.load(std::memory_order_relaxed);
-  path_ = std::move(other.path_);
-  next_segment_hint_ = other.next_segment_hint_;
-  async_write_errors_ =
-      other.async_write_errors_.load(std::memory_order_relaxed);
-  failed_ = other.failed_.load(std::memory_order_relaxed);
-  first_error_ = std::move(other.first_error_);
-  other.file_ = nullptr;
+  *this = std::move(other);
 }
 
 ObservationJournal& ObservationJournal::operator=(
     ObservationJournal&& other) noexcept {
   if (this != &other) {
-    other.StopGroupCommit();
     Close();
-    file_ = other.file_.load(std::memory_order_relaxed);
+    file_ = other.file_.exchange(nullptr, std::memory_order_relaxed);
     path_ = std::move(other.path_);
     next_segment_hint_ = other.next_segment_hint_;
-    async_write_errors_ =
-        other.async_write_errors_.load(std::memory_order_relaxed);
+    staged_ = std::exchange(other.staged_, 0);
+    lost_records_ = other.lost_records_.load(std::memory_order_relaxed);
     failed_ = other.failed_.load(std::memory_order_relaxed);
     first_error_ = std::move(other.first_error_);
-    other.file_ = nullptr;
   }
   return *this;
 }
@@ -135,6 +124,16 @@ Status ObservationJournal::Fail(Status status) {
   return status;
 }
 
+void ObservationJournal::CountLost(uint64_t count) {
+  ServiceMetrics::Get().journal_errors->Increment(count);
+  const uint64_t total =
+      lost_records_.fetch_add(count, std::memory_order_relaxed) + count;
+  if (total == count || total / 100 != (total - count) / 100) {
+    ROCKHOPPER_LOG(kWarning) << "journal write failed (" << total
+                             << " records lost so far): " << path_;
+  }
+}
+
 Status ObservationJournal::error() const {
   if (!failed_.load(std::memory_order_acquire)) return Status::OK();
   std::lock_guard<std::mutex> lock(error_mu_);
@@ -142,8 +141,9 @@ Status ObservationJournal::error() const {
 }
 
 Status ObservationJournal::Close() {
-  StopGroupCommit();
+  std::lock_guard<std::mutex> io_lock(io_mu_);
   if (std::FILE* file = file_.load(std::memory_order_relaxed)) {
+    FlushLocked();
     if (std::fclose(file) != 0 && !failed_.load(std::memory_order_relaxed)) {
       Fail(Status::IOError("journal close failed: " + path_));
     }
@@ -169,179 +169,71 @@ Result<ObservationJournal> ObservationJournal::Open(const std::string& path) {
   return journal;
 }
 
-Status ObservationJournal::WriteRecord(uint64_t signature,
-                                       const Observation& obs, bool flush) {
+Status ObservationJournal::Append(uint64_t signature, const Observation& obs) {
   const std::string payload = FormatPayload(signature, obs);
   const uint32_t crc = common::Crc32(payload);
-  // Hold the I/O lock across the whole record so a concurrent Rotate() swaps
-  // files only on record boundaries.
-  std::lock_guard<std::mutex> io_lock(io_mu_);
-  std::FILE* file = file_.load(std::memory_order_relaxed);
-  if (ROCKHOPPER_BUGGIFY("journal.append.io_error")) {
-    // The write syscall failed outright: nothing reached the file.
-    return Fail(Status::IOError("injected journal write error: " + path_));
-  }
-  if (ROCKHOPPER_BUGGIFY("journal.append.short_write")) {
-    // Torn write: a prefix of the record (no trailing newline) reaches the
-    // file before the "disk" dies — the tail shape recovery must drop.
-    char buffer[16];
-    std::snprintf(buffer, sizeof(buffer), "%08x ", crc);
-    std::fwrite(buffer, 1, sizeof(buffer) - 7, file);
-    std::fwrite(payload.data(), 1, payload.size() / 2, file);
-    std::fflush(file);
-    return Fail(Status::IOError("injected journal short write: " + path_));
-  }
-  if (std::fprintf(file, "%08x %s\n", crc, payload.c_str()) < 0) {
-    return Fail(Status::IOError("journal append failed: " + path_));
-  }
-  // An injected flush failure short-circuits the real fflush: the record
-  // stays in the stdio buffer, invisible to a crash snapshot — the
-  // lost-on-power-cut shape of a lying fsync.
-  if (flush && (ROCKHOPPER_BUGGIFY("journal.sync.flush_fail") ||
-                std::fflush(file) != 0)) {
-    return Fail(Status::IOError("journal flush failed: " + path_));
-  }
-  ServiceMetrics::Get().journal_appends->Increment();
-  return Status::OK();
-}
-
-Status ObservationJournal::Append(uint64_t signature, const Observation& obs) {
-  if (!is_open()) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  if (failed_.load(std::memory_order_acquire)) {
-    // Fail-fast after the first error: the valid prefix already ended, so
-    // accepting further records would ack writes recovery can never see.
-    return error();
-  }
-  if (gc_ != nullptr) {
-    std::unique_lock<std::mutex> lock(gc_->mu);
-    gc_->not_full.wait(lock, [this] {
-      return gc_->queue.size() < gc_->options.queue_capacity || gc_->stop;
-    });
-    if (gc_->stop) {
-      return Status::FailedPrecondition("journal group commit is stopping");
-    }
-    gc_->queue.emplace_back(signature, obs);
-    ++gc_->in_flight;
-    gc_->not_empty.notify_one();
-    return Status::OK();
-  }
-  ScopedSpan flush_span(ServiceMetrics::Get().journal_flush_seconds);
-  return WriteRecord(signature, obs, /*flush=*/true);
-}
-
-Status ObservationJournal::StartGroupCommit(const GroupCommitOptions& options) {
-  if (!is_open()) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  if (gc_ != nullptr) {
-    return Status::FailedPrecondition("group commit already active");
-  }
-  auto state = std::make_unique<GroupCommitState>();
-  state->options = options;
-  if (state->options.max_batch == 0) state->options.max_batch = 1;
-  if (state->options.queue_capacity == 0) state->options.queue_capacity = 1;
-  gc_ = std::move(state);
-  gc_->writer = std::thread([this] { WriterLoop(); });
-  return Status::OK();
-}
-
-void ObservationJournal::WriterLoop() {
-  GroupCommitState& gc = *gc_;
-  std::vector<std::pair<uint64_t, Observation>> batch;
-  batch.reserve(gc.options.max_batch);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(gc.mu);
-      gc.not_empty.wait_for(lock, gc.options.flush_interval,
-                            [&gc] { return gc.stop || !gc.queue.empty(); });
-      if (gc.queue.empty()) {
-        if (gc.stop) return;
-        continue;
-      }
-      const size_t take = std::min(gc.options.max_batch, gc.queue.size());
-      batch.assign(std::make_move_iterator(gc.queue.begin()),
-                   std::make_move_iterator(gc.queue.begin() +
-                                           static_cast<std::ptrdiff_t>(take)));
-      gc.queue.erase(gc.queue.begin(),
-                     gc.queue.begin() + static_cast<std::ptrdiff_t>(take));
-      gc.not_full.notify_all();
-    }
-    // One flush covers the whole batch: the group-commit amortization.
-    ServiceMetrics& metrics = ServiceMetrics::Get();
-    metrics.journal_batch_size->Observe(static_cast<double>(batch.size()));
-    size_t lost = 0;
-    size_t written = 0;  // this batch's successful writes
-    {
-      ScopedSpan flush_span(metrics.journal_flush_seconds);
-      for (const auto& [signature, obs] : batch) {
-        if (failed_.load(std::memory_order_relaxed)) {
-          // Sticky error: the valid prefix already ended; drain the queue
-          // (so producers unblock) but count every further record as lost.
-          ++lost;
-          continue;
-        }
-        if (WriteRecord(signature, obs, /*flush=*/false).ok()) {
-          ++written;
-        } else {
-          ++lost;
-        }
-      }
-      // Flush unconditionally: records written (and counted as appends)
-      // before a mid-batch error are the journal's valid prefix and must
-      // reach the file — skipping the flush would strand them in the stdio
-      // buffer, acked but invisible to recovery. Under the I/O lock so a
-      // concurrent rotation cannot swap the file out from under the flush.
-      std::lock_guard<std::mutex> io_lock(io_mu_);
-      if (std::fflush(file_.load(std::memory_order_relaxed)) != 0) {
-        if (!failed_.load(std::memory_order_relaxed)) {
-          Fail(Status::IOError("journal flush failed: " + path_));
-        }
-        // This batch's writes never reached the disk.
-        lost += written;
-      }
-    }
-    if (lost > 0) {
-      metrics.journal_errors->Increment(lost);
-      const uint64_t total =
-          async_write_errors_.fetch_add(lost, std::memory_order_relaxed) +
-          lost;
-      // Rate-limited: silent journal loss must be visible, but a dead disk
-      // must not flood the log — warn on the first error and each 100th.
-      if (total == lost || total / 100 != (total - lost) / 100) {
-        ROCKHOPPER_LOG(kWarning)
-            << "journal group-commit write failed (" << total
-            << " records lost so far): " << path_;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(gc.mu);
-      gc.in_flight -= batch.size();
-      if (gc.in_flight == 0) gc.drained.notify_all();
-    }
-    batch.clear();
-  }
-}
-
-void ObservationJournal::StopGroupCommit() {
-  if (gc_ == nullptr) return;
+  Status status;
   {
-    std::lock_guard<std::mutex> lock(gc_->mu);
-    gc_->stop = true;
-    gc_->not_empty.notify_all();
-    gc_->not_full.notify_all();
+    // Hold the I/O lock across the whole record so a concurrent Rotate()
+    // swaps files only on record boundaries.
+    std::lock_guard<std::mutex> io_lock(io_mu_);
+    std::FILE* file = file_.load(std::memory_order_relaxed);
+    if (file == nullptr) {
+      status = Status::FailedPrecondition("journal is not open");
+    } else if (failed_.load(std::memory_order_acquire)) {
+      // Fail-fast after the first error: the valid prefix already ended, so
+      // accepting further records would ack writes recovery can never see.
+      status = error();
+    } else if (ROCKHOPPER_BUGGIFY("journal.append.io_error")) {
+      // The write syscall failed outright: nothing reached the file.
+      status = Fail(Status::IOError("injected journal write error: " + path_));
+    } else if (ROCKHOPPER_BUGGIFY("journal.append.short_write")) {
+      // Torn write: the staged records commit, then a prefix of this record
+      // (no trailing newline) reaches the file before the "disk" dies — the
+      // tail shape recovery must drop.
+      FlushLocked();
+      char buffer[16];
+      std::snprintf(buffer, sizeof(buffer), "%08x ", crc);
+      std::fwrite(buffer, 1, sizeof(buffer) - 7, file);
+      std::fwrite(payload.data(), 1, payload.size() / 2, file);
+      std::fflush(file);
+      status = Fail(Status::IOError("injected journal short write: " + path_));
+    } else if (std::fprintf(file, "%08x %s\n", crc, payload.c_str()) < 0) {
+      status = Fail(Status::IOError("journal append failed: " + path_));
+    } else {
+      ++staged_;
+    }
   }
-  if (gc_->writer.joinable()) gc_->writer.join();
-  // The writer drains the queue before honoring stop (it only exits on an
-  // empty queue), so nothing enqueued before this call is lost.
-  gc_.reset();
+  if (!status.ok()) CountLost(1);
+  return status;
+}
+
+void ObservationJournal::FlushLocked() {
+  if (staged_ == 0) return;
+  const uint64_t batch = std::exchange(staged_, 0);
+  ServiceMetrics& metrics = ServiceMetrics::Get();
+  metrics.journal_batch_size->Observe(static_cast<double>(batch));
+  bool flushed;
+  {
+    ScopedSpan flush_span(metrics.journal_flush_seconds);
+    // An injected flush failure short-circuits the real fflush: the batch
+    // stays in the stdio buffer, invisible to a crash snapshot — the
+    // lost-on-power-cut shape of a lying fsync.
+    flushed = !ROCKHOPPER_BUGGIFY("journal.sync.flush_fail") &&
+              std::fflush(file_.load(std::memory_order_relaxed)) == 0;
+  }
+  if (flushed) {
+    metrics.journal_appends->Increment(batch);
+    return;
+  }
+  Fail(Status::IOError("journal flush failed: " + path_));
+  CountLost(batch);
 }
 
 Status ObservationJournal::Sync() {
-  if (gc_ != nullptr) {
-    std::unique_lock<std::mutex> lock(gc_->mu);
-    gc_->drained.wait(lock, [this] { return gc_->in_flight == 0; });
+  {
+    std::lock_guard<std::mutex> io_lock(io_mu_);
+    if (file_.load(std::memory_order_relaxed) != nullptr) FlushLocked();
   }
   return error();
 }
@@ -351,13 +243,6 @@ Result<ObservationJournal::RotateResult> ObservationJournal::Rotate(
   if (!is_open()) {
     return Status::FailedPrecondition("journal is not open");
   }
-  // Drain queued group-commit records so every record acked before this call
-  // is inside the file about to be sealed. Concurrent appends may land on
-  // either side of the cut — exactly once either way.
-  if (gc_ != nullptr) {
-    std::unique_lock<std::mutex> lock(gc_->mu);
-    gc_->drained.wait(lock, [this] { return gc_->in_flight == 0; });
-  }
   ROCKHOPPER_ASSIGN_OR_RETURN(segments, ListSegments(path_));
   const uint64_t next =
       std::max({min_index, next_segment_hint_,
@@ -366,11 +251,13 @@ Result<ObservationJournal::RotateResult> ObservationJournal::Rotate(
 
   std::lock_guard<std::mutex> io_lock(io_mu_);
   std::FILE* live = file_.load(std::memory_order_relaxed);
-  std::fflush(live);
+  // Every record staged before this call goes into the file about to be
+  // sealed. Concurrent appends land on either side of the cut — exactly
+  // once either way.
+  FlushLocked();
   // Rename with the stream still open: the handle stays bound to the (now
-  // sealed) inode, so file_ never passes through nullptr and concurrent
-  // Append callers racing the lock-free is_open() fast path never see a
-  // momentarily-closed journal and drop acked records.
+  // sealed) inode, so file_ never passes through nullptr and callers racing
+  // the lock-free is_open() never see a momentarily-closed journal.
   std::error_code ec;
   std::filesystem::rename(path_, segment_path, ec);
   if (ec) {

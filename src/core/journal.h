@@ -2,14 +2,9 @@
 #define ROCKHOPPER_CORE_JOURNAL_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,15 +22,10 @@ std::string FormatJournalLine(uint64_t signature, const Observation& obs);
 bool ParseJournalLine(const std::string& line, uint64_t* signature,
                       Observation* obs);
 
-/// Knobs of the journal's group-commit mode (see StartGroupCommit).
+/// Accepted and ignored by StartGroupCommit; kept only because perfbench/
+/// still passes it.
 struct GroupCommitOptions {
-  /// Upper bound on records written per writer-thread wakeup; one fflush
-  /// covers the whole batch, amortizing the flush over max_batch records.
   size_t max_batch = 64;
-  /// Longest a queued record waits before the writer flushes it anyway.
-  std::chrono::milliseconds flush_interval{2};
-  /// Bounded queue capacity. Producers block when the queue is full
-  /// (backpressure) — records are never dropped.
   size_t queue_capacity = 4096;
 };
 
@@ -54,17 +44,20 @@ struct GroupCommitOptions {
 /// what it dropped, so a restart never replays corrupt rows verbatim
 /// (unlike the CSV path this replaces).
 ///
-/// Two write modes share the record format:
-///  - synchronous (default): Append formats, writes, and flushes inline;
-///  - group commit (StartGroupCommit): Append enqueues onto a bounded MPSC
-///    queue drained by a dedicated writer thread that batches records per
-///    flush — the multi-tenant service's high-throughput mode.
+/// One write path: Append stages a record in the stdio buffer and Sync
+/// commits every staged record, from every thread, with one fflush.
+/// Concurrent Sync callers share that flush — group commit without a writer
+/// thread. TuningService syncs before it returns from OnQueryEnd, so an
+/// acked observation has been handed to the kernel (docs/FAULT_MODEL.md).
+///
+/// Accounting: every Append call is counted exactly once, either in
+/// rockhopper_journal_appends_total (its record's flush succeeded) or in
+/// rockhopper_journal_errors_total and lost_records() (it staged nothing, or
+/// its flush failed).
 class ObservationJournal {
  public:
   ObservationJournal() = default;
   ~ObservationJournal();
-  /// Moving stops group commit on the source first (draining its queue);
-  /// restart it on the destination if needed.
   ObservationJournal(ObservationJournal&& other) noexcept;
   ObservationJournal& operator=(ObservationJournal&& other) noexcept;
   ObservationJournal(const ObservationJournal&) = delete;
@@ -75,11 +68,8 @@ class ObservationJournal {
   /// kIOError when the filesystem refuses the open.
   static Result<ObservationJournal> Open(const std::string& path);
 
-  /// Appends one record. Synchronous mode: writes and flushes to the OS
-  /// before returning (crash safety: at most the in-flight record is lost to
-  /// a kill); kIOError when the write or flush fails. Group-commit mode:
-  /// enqueues and returns; write errors are then reported through
-  /// async_write_errors() instead of the return status.
+  /// Stages one record: formats it and writes it into the stdio buffer
+  /// without flushing. kIOError (and one lost record) when the write fails.
   ///
   /// Errors are sticky: after the first failed write or flush the journal
   /// fails every further Append with that first error (fail-fast). A torn or
@@ -88,21 +78,19 @@ class ObservationJournal {
   /// silent data loss into apparent success.
   Status Append(uint64_t signature, const Observation& obs);
 
-  /// Switches to group-commit mode: spawns the writer thread draining the
-  /// bounded queue in batches. Error when the journal is not open or group
-  /// commit is already active.
-  Status StartGroupCommit(const GroupCommitOptions& options = {});
-
-  /// Drains every queued record, then joins the writer thread and returns to
-  /// synchronous mode. Idempotent; also performed by Close() and moves.
-  void StopGroupCommit();
-
-  bool group_commit_active() const { return gc_ != nullptr; }
-
-  /// Blocks until every record enqueued before this call reached fflush
-  /// (no-op in synchronous mode), then returns the sticky first error — OK
-  /// means everything appended so far is durably in the OS page cache.
+  /// Commits every record staged so far, by any thread, with one fflush,
+  /// then returns the sticky first error — OK means everything appended so
+  /// far is in the OS page cache.
   Status Sync();
+
+  /// Compatibility shims kept only for perfbench/: there is one write mode,
+  /// so starting "group commit" just checks the journal is open and
+  /// stopping it is Sync.
+  Status StartGroupCommit(const GroupCommitOptions& = {}) {
+    return is_open() ? Status::OK()
+                     : Status::FailedPrecondition("journal is not open");
+  }
+  Status StopGroupCommit() { return Sync(); }
 
   struct RotateResult {
     std::string segment_path;
@@ -110,14 +98,13 @@ class ObservationJournal {
   };
 
   /// Seals the live file as an immutable segment and reopens a fresh live
-  /// journal — the checkpoint compactor's sequence barrier. Drains in-flight
-  /// group-commit records first, then (under the I/O lock, so concurrent
-  /// appends block rather than tear) renames the live file to
-  /// `<path>.seg-<k>` (k = max(highest existing segment + 1, `min_index`))
-  /// and reopens `path` with a fresh header. Every record acked before the
-  /// call lands in the sealed segment or an earlier one; records appended
-  /// concurrently land in either the segment or the new live file, exactly
-  /// once.
+  /// journal — the checkpoint compactor's sequence barrier. Under the I/O
+  /// lock (so concurrent appends block rather than tear) it commits the
+  /// staged records, renames the live file to `<path>.seg-<k>`
+  /// (k = max(highest existing segment + 1, `min_index`)) and reopens `path`
+  /// with a fresh header. Every record acked before the call lands in the
+  /// sealed segment or an earlier one; records appended concurrently land in
+  /// either the segment or the new live file, exactly once.
   ///
   /// `min_index` keeps segment numbering monotonic across checkpoint
   /// truncation: absorbed segments are deleted from disk, so "highest on
@@ -135,15 +122,14 @@ class ObservationJournal {
   static Result<std::vector<std::pair<uint64_t, std::string>>> ListSegments(
       const std::string& path);
 
-  /// Records the writer thread failed to persist (group-commit mode). The
-  /// counter survives StopGroupCommit so shutdown accounting stays intact.
-  uint64_t async_write_errors() const {
-    return async_write_errors_.load(std::memory_order_relaxed);
+  /// Records that never reached the file: Append calls that staged nothing
+  /// (closed journal, sticky error, failed write) plus staged records whose
+  /// flush failed. Survives Close, so shutdown accounting stays intact.
+  uint64_t lost_records() const {
+    return lost_records_.load(std::memory_order_relaxed);
   }
 
-  /// The sticky first write/flush error (OK while healthy). Group-commit
-  /// write errors land here asynchronously; Sync() before reading when exact
-  /// accounting matters.
+  /// The sticky first write/flush error (OK while healthy).
   Status error() const;
   bool has_error() const { return failed_.load(std::memory_order_relaxed); }
 
@@ -151,37 +137,27 @@ class ObservationJournal {
     return file_.load(std::memory_order_acquire) != nullptr;
   }
   const std::string& path() const { return path_; }
-  /// Stops group commit (draining), closes the underlying file (also done by
+  /// Commits the staged records, closes the underlying file (also done by
   /// the destructor), and returns the sticky first error — a failed fclose
   /// counts. OK means the journal closed with every record persisted.
   Status Close();
 
  private:
-  struct GroupCommitState {
-    GroupCommitOptions options;
-    std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::condition_variable drained;
-    std::deque<std::pair<uint64_t, Observation>> queue;
-    /// Queued plus currently-being-written records; 0 means fully synced.
-    size_t in_flight = 0;
-    bool stop = false;
-    std::thread writer;
-  };
-
-  /// Formats and writes one record; flushes when `flush` is set. The only
-  /// code path that touches file_ for writing, in both modes.
-  Status WriteRecord(uint64_t signature, const Observation& obs, bool flush);
-  void WriterLoop();
+  /// Commits staged_ with one fflush: the one routine behind Sync, Rotate
+  /// and Close. Counts the batch as appended, or as lost when the flush
+  /// fails. Caller holds io_mu_.
+  void FlushLocked();
+  /// Counts `count` lost records: the errors metric plus a rate-limited
+  /// warning (the first loss and every 100th), so silent loss stays visible.
+  void CountLost(uint64_t count);
   /// Records `status` as the sticky first error (later calls keep the first)
   /// and returns it.
   Status Fail(Status status);
 
-  /// Atomic so Append's lock-free "is open" fast path can race with
-  /// Rotate()'s handle swap: the pointer goes old-live → fresh-live in one
-  /// store (never through nullptr — the old stream stays open across the
-  /// rename), so concurrent appenders always observe an open journal.
+  /// Atomic so the lock-free is_open() can race with Rotate()'s handle swap:
+  /// the pointer goes old-live → fresh-live in one store (never through
+  /// nullptr — the old stream stays open across the rename), so a rotation
+  /// never shows a momentarily-closed journal.
   std::atomic<std::FILE*> file_{nullptr};
   std::string path_;
   /// One past the highest segment index this journal has sealed: keeps
@@ -190,12 +166,13 @@ class ObservationJournal {
   /// absorbed index). Cross-restart monotonicity comes from the compactor's
   /// `min_index` floor.
   uint64_t next_segment_hint_ = 0;
-  /// Serializes raw file I/O — record writes, the group-commit batch flush,
-  /// and Rotate()'s rename/reopen handle swap — so a rotation never tears a
-  /// record across two files. Never held while waiting on gc_ conditions.
+  /// Serializes file I/O — record writes, flushes, and Rotate()'s
+  /// rename/reopen handle swap — so a rotation never tears a record across
+  /// two files. Guards staged_.
   mutable std::mutex io_mu_;
-  std::unique_ptr<GroupCommitState> gc_;
-  std::atomic<uint64_t> async_write_errors_{0};
+  /// Records written into the stdio buffer since the last flush.
+  uint64_t staged_ = 0;
+  std::atomic<uint64_t> lost_records_{0};
   /// Sticky-error state: failed_ is the lock-free fast-path flag, the Status
   /// itself lives behind error_mu_.
   std::atomic<bool> failed_{false};

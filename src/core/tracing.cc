@@ -67,19 +67,18 @@ ServiceMetrics::ServiceMetrics() {
 
   journal_appends =
       reg.GetCounter("rockhopper_journal_appends_total",
-                     "Observation records persisted to the journal");
+                     "Journal records whose flush succeeded");
   journal_errors = reg.GetCounter(
       "rockhopper_journal_errors_total",
-      "Observation records lost to journal write errors (sync and "
-      "group-commit modes)");
+      "Journal records lost: refused appends plus records whose flush "
+      "failed");
   journal_flush_seconds = reg.GetHistogram(
       "rockhopper_journal_flush_seconds",
-      "Journal write+flush latency (one group-commit batch or one "
-      "synchronous append)",
+      "Latency of one journal flush committing the staged records",
       latency);
   journal_batch_size = reg.GetHistogram(
       "rockhopper_journal_batch_size",
-      "Records per group-commit writer batch",
+      "Records committed per journal flush",
       common::ExponentialBuckets(1.0, 2.0, 9));
 
   state_resident_signatures = reg.GetGauge(

@@ -69,10 +69,10 @@ struct ServiceMetrics {
   common::Histogram* ingest_seconds;
 
   // --- journal ------------------------------------------------------------
-  common::Counter* journal_appends;     ///< records persisted
-  common::Counter* journal_errors;      ///< records lost to write errors
-  common::Histogram* journal_flush_seconds;  ///< write+flush latency
-  common::Histogram* journal_batch_size;     ///< group-commit batch sizes
+  common::Counter* journal_appends;     ///< records whose flush succeeded
+  common::Counter* journal_errors;      ///< every other appended record
+  common::Histogram* journal_flush_seconds;  ///< one committing fflush
+  common::Histogram* journal_batch_size;     ///< records per flush
 
   // --- tiered state layer -------------------------------------------------
   common::Gauge* state_resident_signatures;  ///< signatures in the hot tier

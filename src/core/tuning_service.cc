@@ -227,10 +227,16 @@ void TuningService::OnQueryEnd(const sparksim::QueryPlan& plan,
 void TuningService::OnQueryEnd(const SignatureHandle& handle,
                                const QueryEndEvent& event) {
   metrics_->queries_ended->Increment();
-  SignatureShardMap::LockedState locked =
-      StateFor(handle.plan(), handle.signature());
-  pipeline_.Ingest(handle.signature(), event, locked.state, &observations_,
-                   journal_);
+  ObservationJournal* journal = journal_;
+  {
+    SignatureShardMap::LockedState locked =
+        StateFor(handle.plan(), handle.signature());
+    pipeline_.Ingest(handle.signature(), event, locked.state, &observations_,
+                     journal);
+  }
+  // Commit before returning, outside the shard lock: an acked observation
+  // has been handed to the kernel.
+  if (journal != nullptr) (void)journal->Sync();
 }
 
 std::vector<TelemetryVerdict> TuningService::OnQueryEndBatch(
@@ -251,6 +257,7 @@ std::vector<TelemetryVerdict> TuningService::OnQueryEndBatch(
                    [&signatures](size_t a, size_t b) {
                      return signatures[a] < signatures[b];
                    });
+  ObservationJournal* journal = journal_;
   std::vector<const QueryEndEvent*> run_events;
   std::vector<TelemetryVerdict> run_verdicts;
   size_t i = 0;
@@ -268,12 +275,14 @@ std::vector<TelemetryVerdict> TuningService::OnQueryEndBatch(
       SignatureShardMap::LockedState locked =
           StateFor(*entries[order[i]].plan, signature);
       pipeline_.IngestBatch(signature, run_events.data(), run_events.size(),
-                            locked.state, &observations_, journal_,
+                            locked.state, &observations_, journal,
                             &run_verdicts);
     }
     for (size_t k = i; k < j; ++k) verdicts[order[k]] = run_verdicts[k - i];
     i = j;
   }
+  // One commit for the whole batch, after every shard lock is released.
+  if (journal != nullptr) (void)journal->Sync();
   return verdicts;
 }
 
@@ -313,9 +322,7 @@ Status TuningService::Shutdown() {
   if (journal_ == nullptr) return Status::OK();
   ObservationJournal* journal = journal_;
   journal_ = nullptr;
-  const Status sync = journal->Sync();
-  const Status close = journal->Close();
-  return sync.ok() ? close : sync;
+  return journal->Close();
 }
 
 void TuningService::AttachStateTier(ModelStore* store) {

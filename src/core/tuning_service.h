@@ -126,8 +126,8 @@ struct TuningServiceOptions {
 ///    contend;
 ///  - pipeline layer: OnQueryEnd is the staged IngestPipeline
 ///    (sanitize → impute/failure-policy → journal → tune/guardrail);
-///  - journal layer: an optional crash-safe ObservationJournal, group-commit
-///    capable for high-throughput ingestion.
+///  - journal layer: an optional crash-safe ObservationJournal; each
+///    OnQueryEnd call commits its appends with one flush.
 ///
 /// This class is the thin façade wiring those layers together plus the
 /// app-level cache keyed by artifact_id (§4.4).
@@ -194,7 +194,8 @@ class TuningService {
                                       double expected_data_size);
 
   /// Ingests one telemetry delivery: sanitize, impute failures, advance the
-  /// tuner/guardrail, journal. Rejected events only move the counters.
+  /// tuner/guardrail, journal, then Sync the journal. Rejected events only
+  /// move the counters.
   void OnQueryEnd(const sparksim::QueryPlan& plan, const QueryEndEvent& event);
   void OnQueryEnd(const SignatureHandle& handle, const QueryEndEvent& event);
 
@@ -202,9 +203,9 @@ class TuningService {
   /// signature (stable, so per-signature arrival order — and with it dedup
   /// and failure-streak semantics — is exactly sequential delivery) and each
   /// signature's shard lock is taken once per run instead of once per
-  /// event; the journal appends of the whole batch share one group-commit
-  /// window. Returns the sanitize verdicts in entry order. Pointers must
-  /// stay valid for the duration of the call.
+  /// event; the journal appends of the whole batch share one Sync. Returns
+  /// the sanitize verdicts in entry order. Pointers must stay valid for the
+  /// duration of the call.
   struct QueryEndBatchEntry {
     const sparksim::QueryPlan* plan;
     const QueryEndEvent* event;
@@ -250,21 +251,16 @@ class TuningService {
 
   /// Attaches a crash-safe journal: every accepted observation is appended
   /// (with the runtime actually fed to the tuner, so recovery replays the
-  /// identical state). Not owned; pass nullptr to detach. Journal I/O errors
-  /// are counted, never fatal to the tuning path, and logged rate-limited
-  /// (first error, then every 100th).
+  /// identical state) and committed with one Sync before OnQueryEnd or
+  /// OnQueryEndBatch returns. Not owned; pass nullptr to detach. Journal I/O
+  /// errors are never fatal to the tuning path; the journal counts the lost
+  /// records (ObservationJournal::lost_records) and logs rate-limited.
   void AttachJournal(ObservationJournal* journal) { journal_ = journal; }
-  /// Total journal records lost: synchronous append failures plus (when the
-  /// attached journal runs in group-commit mode) asynchronous write errors.
-  uint64_t journal_errors() const {
-    return pipeline_.journal_errors() +
-           (journal_ != nullptr ? journal_->async_write_errors() : 0);
-  }
 
-  /// Orderly shutdown of the persistence layer: syncs and closes the
-  /// attached journal (stopping group commit), detaches it, and returns the
-  /// journal's sticky first error — OK means every accepted observation was
-  /// durably persisted. OK (trivially) when no journal is attached.
+  /// Orderly shutdown of the persistence layer: closes the attached journal,
+  /// detaches it, and returns the journal's sticky first error — OK means
+  /// every accepted observation was persisted. OK (trivially) when no
+  /// journal is attached.
   /// Callers that care about durability must branch on this instead of
   /// letting the journal close silently in a destructor.
   Status Shutdown();

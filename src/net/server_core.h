@@ -44,9 +44,8 @@ struct ServerCoreOptions {
   /// Shared secret for Verb::kAdmin. Empty disables the verb entirely:
   /// every Admin frame is answered kUnauthorized.
   std::string admin_token;
-  /// ObserveQueryEnd frames coalesced into one OnQueryEndBatch call. Matches
-  /// the journal's default group-commit batch so one network batch fills one
-  /// flush window.
+  /// ObserveQueryEnd frames coalesced into one OnQueryEndBatch call, whose
+  /// journal appends share one flush.
   size_t max_batch = 64;
 };
 

@@ -466,7 +466,6 @@ class ServiceDriver {
 std::string SimulationReport::Summary() const {
   std::ostringstream out;
   out << "seed " << seed << (passed() ? ": PASS" : ": FAIL")
-      << " mode=" << (group_commit ? "group-commit" : "sync")
       << " executions=" << executions << " delivered=" << delivered
       << " accepted=" << accepted << " rejected=" << rejected
       << " sim_dropped=" << sim_dropped << " appends=" << journal_appends
@@ -632,9 +631,6 @@ SimulationReport RunSimulation(const SimulationOptions& options) {
     return report;
   }
   ObservationJournal journal = std::move(*opened);
-  report.group_commit =
-      (common::SplitMix64(seed ^ 0x67632d6d6f6465ULL) & 1) != 0;
-  if (report.group_commit) (void)journal.StartGroupCommit({});
   service.AttachJournal(&journal);
 
   TraceRecorder trace;
@@ -1027,7 +1023,6 @@ SimulationReport RunSimulation(const SimulationOptions& options) {
   bool journal2_attached = false;
   if (auto opened2 = ObservationJournal::Open(phase2_path); opened2.ok()) {
     journal2 = std::move(*opened2);
-    if (report.group_commit) (void)journal2.StartGroupCommit({});
     recovered_service.AttachJournal(&journal2);
     journal2_attached = true;
   } else {

@@ -48,7 +48,6 @@ struct SimulationOptions {
 /// tools/run_simulation_sweep.sh asserts.
 struct SimulationReport {
   uint64_t seed = 0;
-  bool group_commit = false;
 
   // Whole-run telemetry accounting (both phases, from metric deltas).
   uint64_t executions = 0;     ///< simulated query executions
@@ -105,8 +104,8 @@ struct SimulationReport {
 ///
 ///   phase 1  N tenants interleaved on a virtual clock drive one shared
 ///            TuningService through simulated executions and a faulty
-///            telemetry bus, journaling through sync or group-commit
-///            appends (seed-chosen), with Buggify sections armed; on a
+///            telemetry bus, journaling every accepted observation, with
+///            Buggify sections armed; on a
 ///            seed-chosen subset of runs the tiered state layer is armed
 ///            (cold-signature eviction under a resident-bytes budget) and
 ///            journal checkpoints compact the log mid-phase;

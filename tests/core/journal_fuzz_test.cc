@@ -12,6 +12,7 @@
 
 #include "core/checkpoint.h"
 #include "core/journal.h"
+#include "core/tracing.h"
 #include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
@@ -157,6 +158,8 @@ TEST(JournalStickyErrorTest, DevFullSurfacesFirstErrorEverywhere) {
   for (int i = 0; i < 4 && first.ok(); ++i) {
     obs.iteration = i;
     first = journal.Append(7, obs);
+    // Append only stages; the commit is where the full disk surfaces.
+    if (first.ok()) first = journal.Sync();
   }
   ASSERT_FALSE(first.ok());
   // Fail-fast stickiness: later appends and the shutdown path all surface
@@ -165,6 +168,48 @@ TEST(JournalStickyErrorTest, DevFullSurfacesFirstErrorEverywhere) {
   EXPECT_EQ(journal.Append(7, obs).code(), first.code());
   EXPECT_EQ(journal.Sync().code(), first.code());
   EXPECT_EQ(journal.Close().code(), first.code());
+}
+
+TEST(JournalStickyErrorTest, DevFullCountsEveryAppendExactlyOnce) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  const ServiceMetrics& metrics = ServiceMetrics::Get();
+  const uint64_t appends0 = metrics.journal_appends->Value();
+  const uint64_t errors0 = metrics.journal_errors->Value();
+  const uint64_t flushes0 = metrics.journal_flush_seconds->Count();
+  const uint64_t batches0 = metrics.journal_batch_size->Count();
+  {
+    auto opened = ObservationJournal::Open("/dev/full");
+    if (!opened.ok()) {
+      EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
+      return;
+    }
+    ObservationJournal journal = std::move(*opened);
+    Observation obs;
+    obs.config = {1.0, 2.0};
+    obs.data_size = 1.0;
+    obs.runtime = 5.0;
+    // Three records stage, then one failed batch flush loses all three;
+    // the sticky error refuses the next two outright.
+    for (int i = 0; i < 3; ++i) {
+      obs.iteration = i;
+      ASSERT_TRUE(journal.Append(7, obs).ok());
+    }
+    EXPECT_EQ(journal.Sync().code(), StatusCode::kIOError);
+    for (int i = 3; i < 5; ++i) {
+      obs.iteration = i;
+      EXPECT_EQ(journal.Append(7, obs).code(), StatusCode::kIOError);
+    }
+    EXPECT_EQ(journal.Close().code(), StatusCode::kIOError);
+    EXPECT_EQ(journal.lost_records(), 5u);
+  }
+  // appends + errors == accepted: each of the five Append calls lands in
+  // exactly one series, and only the one real flush is observed.
+  EXPECT_EQ(metrics.journal_appends->Value() - appends0, 0u);
+  EXPECT_EQ(metrics.journal_errors->Value() - errors0, 5u);
+  EXPECT_EQ(metrics.journal_flush_seconds->Count() - flushes0, 1u);
+  EXPECT_EQ(metrics.journal_batch_size->Count() - batches0, 1u);
 }
 
 }  // namespace

@@ -206,7 +206,7 @@ TEST(ChaosTest, JournalKillAndRecoverRestoresCounts) {
         service.OnQueryEnd(*plan, event);
       }
     }
-    ASSERT_EQ(service.journal_errors(), 0u);
+    ASSERT_EQ(journal->lost_records(), 0u);
   }
 
   // Simulate the kill: flip one bit in record 17 (0-based), then truncate

@@ -1,5 +1,5 @@
 // Eviction under fire: 8 tenant threads drive the tuning service through a
-// group-commit journal while the tiered state layer runs with a budget small
+// shared journal while the tiered state layer runs with a budget small
 // enough that the clock hand evicts continuously. Exercises the
 // evict / fault-in / re-evict cycle concurrently with ingestion — the data
 // race surface the shard-lock + single-flight-evictor design must keep clean
@@ -24,6 +24,7 @@
 #include "core/model_store.h"
 #include "core/tuning_service.h"
 #include "sparksim/workloads.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
@@ -35,42 +36,11 @@ constexpr uint64_t kSeed = 77;
 
 class StateTieringConcurrentTest : public ::testing::Test {
  protected:
-  StateTieringConcurrentTest() {
-    const std::string stem =
-        "rockhopper_tiering_conc_" +
-        std::to_string(reinterpret_cast<uintptr_t>(this));
-    journal_path_ =
-        (std::filesystem::temp_directory_path() / (stem + ".journal"))
-            .string();
-    store_dir_ =
-        (std::filesystem::temp_directory_path() / (stem + ".store")).string();
-    Cleanup();
-  }
-  ~StateTieringConcurrentTest() override { Cleanup(); }
-
-  void Cleanup() {
-    std::error_code ec;
-    std::filesystem::remove(journal_path_, ec);
-    std::filesystem::remove(CheckpointPath(journal_path_), ec);
-    std::filesystem::remove(CheckpointPath(journal_path_) + ".tmp", ec);
-    auto deltas = ListCheckpointDeltas(journal_path_);
-    if (deltas.ok()) {
-      for (const auto& [index, path] : *deltas) {
-        std::filesystem::remove(path, ec);
-        std::filesystem::remove(path + ".tmp", ec);
-      }
-    }
-    auto segments = ObservationJournal::ListSegments(journal_path_);
-    if (segments.ok()) {
-      for (const auto& [index, path] : *segments) {
-        std::filesystem::remove(path, ec);
-      }
-    }
-    std::filesystem::remove_all(store_dir_, ec);
-  }
-
-  std::string journal_path_;
-  std::string store_dir_;
+  // Per test and process, removed with everything in it: the test
+  // processes ctest -j runs side by side never share a journal chain.
+  const test_support::TestTempDir dir_;
+  const std::string journal_path_ = dir_.File("journal");
+  const std::string store_dir_ = dir_.File("store");
 };
 
 TEST_F(StateTieringConcurrentTest, EvictionUnderEightThreadIngest) {
@@ -103,10 +73,6 @@ TEST_F(StateTieringConcurrentTest, EvictionUnderEightThreadIngest) {
 
   auto journal = ObservationJournal::Open(journal_path_);
   ASSERT_TRUE(journal.ok());
-  GroupCommitOptions gc;
-  gc.max_batch = 16;
-  gc.queue_capacity = 64;
-  ASSERT_TRUE(journal->StartGroupCommit(gc).ok());
   service.AttachJournal(&*journal);
 
   std::vector<std::thread> workers;
@@ -137,7 +103,7 @@ TEST_F(StateTieringConcurrentTest, EvictionUnderEightThreadIngest) {
 
   EXPECT_TRUE(mid_checkpoint.ok()) << mid_checkpoint.status().ToString();
   ASSERT_TRUE(service.Shutdown().ok());
-  EXPECT_EQ(service.journal_errors(), 0u);
+  EXPECT_EQ(journal->lost_records(), 0u);
 
   // Conservation: every signature ingested exactly its own stream.
   EXPECT_EQ(service.NumSignatures(), static_cast<size_t>(kNumPlans));
@@ -201,10 +167,6 @@ TEST_F(StateTieringConcurrentTest, BackgroundSweeperRacesEightThreadIngest) {
 
   auto journal = ObservationJournal::Open(journal_path_);
   ASSERT_TRUE(journal.ok());
-  GroupCommitOptions gc;
-  gc.max_batch = 16;
-  gc.queue_capacity = 64;
-  ASSERT_TRUE(journal->StartGroupCommit(gc).ok());
   service.AttachJournal(&*journal);
 
   std::vector<std::thread> workers;
@@ -239,7 +201,7 @@ TEST_F(StateTieringConcurrentTest, BackgroundSweeperRacesEightThreadIngest) {
   (void)service.SweepStateTier();
   (void)service.SweepStateTier();
   ASSERT_TRUE(service.Shutdown().ok());  // stops the background sweeper too
-  EXPECT_EQ(service.journal_errors(), 0u);
+  EXPECT_EQ(journal->lost_records(), 0u);
 
   EXPECT_EQ(service.NumSignatures(), static_cast<size_t>(kNumPlans));
   for (const sparksim::QueryPlan& plan : plans) {

@@ -13,11 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "core/journal.h"
 #include "core/tuning_service.h"
 #include "net/client.h"
 #include "net/server_core.h"
 #include "net/wire.h"
 #include "sparksim/workloads.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::net {
 namespace {
@@ -542,6 +545,49 @@ TEST_F(LoopbackTest, DrainFlushesInFlightBatchesOnStop) {
   server.Stop(2000);
   EXPECT_EQ(service_.observations().Count(plan_.Signature()),
             static_cast<size_t>(kEvents));
+}
+
+// The ack contract over the wire: when the client holds a kOk for an
+// ObserveQueryEnd, the record is already in the journal file — no Sync,
+// Close or server stop in between. The journal starts the way perfbench
+// starts it, so acking a record still queued for a writer fails here.
+TEST_F(LoopbackTest, ObserveAckMeansRecordIsOnDisk) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("journal.log");
+  Result<core::ObservationJournal> journal =
+      core::ObservationJournal::Open(path);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(journal->StartGroupCommit().ok());
+  service_.AttachJournal(&*journal);
+  ServerCore core(&service_, &registry_, ServerCoreOptions());
+  Server server(&core, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  client.SetRecvTimeout(5000);
+  constexpr int kEvents = 100;
+  for (int i = 0; i < kEvents; ++i) {
+    core::QueryEndEvent event;
+    event.event_id = static_cast<uint64_t>(i + 1);
+    event.config = space_.Defaults();
+    event.data_size = 1e9;
+    event.runtime = 20.0 + i;
+    Client::Response response;
+    ASSERT_TRUE(client
+                    .Call(Verb::kObserveQueryEnd, 1,
+                          EncodeObservePayload(plan_.Signature(), event),
+                          &response)
+                    .ok());
+    ASSERT_EQ(response.status, WireStatus::kOk);
+    Result<core::JournalChain> chain = core::RecoverJournalChain(path);
+    ASSERT_TRUE(chain.ok());
+    ASSERT_EQ(chain->tail_records, static_cast<size_t>(i + 1))
+        << "acked observe " << i << " not on disk";
+  }
+  server.Stop(1000);
+  ASSERT_TRUE(service_.Shutdown().ok());
+  EXPECT_EQ(journal->lost_records(), 0u);
 }
 
 }  // namespace

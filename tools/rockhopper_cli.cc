@@ -47,7 +47,7 @@
 //   rockhopper serve --suite=tpcds --threads=8 --iters=20 [--chaos]
 //       drive one shared tuning service from concurrent tenant threads
 //       (the multi-tenant deployment shape of §6.3) and print aggregate
-//       throughput; --journal=FILE appends through the group-commit path;
+//       throughput; --journal=FILE journals every accepted observation;
 //       --memory-budget=BYTES arms the tiered state layer (cold-signature
 //       eviction with transparent fault-in); --checkpoint-interval=N
 //       compacts the journal every N accepted observations while serving;
@@ -55,7 +55,7 @@
 //
 //   rockhopper metrics --suite=tpch --iters=30 --threads=4 [--format=json]
 //       exercise every instrumented subsystem (ingestion spans, journal
-//       group commit, thread pool, simulator memo) with a chaos workload,
+//       flushes, thread pool, simulator memo) with a chaos workload,
 //       then print one scrape of the service's metrics registry in
 //       Prometheus text or JSON exposition;
 //
@@ -362,8 +362,8 @@ struct ChaosOutcome {
 // faults, the delivery loop below injects telemetry faults (drop / duplicate
 // / reorder / corrupt), and the service sanitizes, imputes, falls back, and
 // journals. With a journal attached the run shuts down through the
-// Status-checked Sync/Close path and then verifies the crash-safety ledger:
-// journal appends + append errors == accepted observations, a clean tail on
+// Status-checked Close path and then verifies the crash-safety ledger:
+// journal appends + lost records == accepted observations, a clean tail on
 // recovery, and a recovered service whose guardrail verdicts match the live
 // one.
 ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
@@ -470,7 +470,6 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
 
   const TelemetryStats& stats = service.telemetry_stats();
   out.accepted = stats.accepted;
-  out.journal_errors = service.journal_errors();
   out.disabled = service.NumDisabled();
   out.signatures = service.NumSignatures();
   if (verbose) {
@@ -494,6 +493,7 @@ ChaosOutcome RunChaosSeed(const Args& args, uint64_t seed,
   if (Status st = service.Shutdown(); !st.ok()) {
     out.violations.push_back("journal shutdown failed: " + st.ToString());
   }
+  out.journal_errors = journal.lost_records();
   if (verbose) {
     std::printf("journal written to %s (%llu append errors)\n",
                 journal_path.c_str(),
@@ -831,8 +831,8 @@ int RunCheckpoint(const Args& args) {
 }
 
 // Multi-tenant load harness: K threads drive the suite's plans through one
-// shared service. With --journal, appends go through the journal's
-// group-commit path (batched background writer) unless --sync-journal.
+// shared service. With --journal, every accepted observation is journaled
+// and committed before OnQueryEnd returns.
 // --memory-budget arms the tiered state layer; --checkpoint-interval runs a
 // background compactor every N accepted observations.
 // SIGINT/SIGTERM → drain-and-exit for `serve --listen`. RequestStop is one
@@ -910,7 +910,6 @@ int RunServeListen(const Args& args) {
 
   ObservationJournal journal;
   const std::string journal_path = args.Get("journal", "");
-  const bool group_commit = args.Get("sync-journal", "") != "true";
   if (!journal_path.empty()) {
     auto opened = ObservationJournal::Open(journal_path);
     if (!opened.ok()) {
@@ -919,7 +918,6 @@ int RunServeListen(const Args& args) {
       return 1;
     }
     journal = std::move(*opened);
-    if (group_commit) journal.StartGroupCommit({});
     service.AttachJournal(&journal);
   }
 
@@ -988,8 +986,6 @@ int RunServeListen(const Args& args) {
       exit_code = 1;
     }
   }
-  const uint64_t journal_errors = service.journal_errors();
-
   const ServiceMetrics& m = ServiceMetrics::Get();
   const TelemetryStats& stats = service.telemetry_stats();
   std::printf("\nconnections: %llu accepted; rx %llu bytes, tx %llu bytes\n",
@@ -1039,10 +1035,9 @@ int RunServeListen(const Args& args) {
               static_cast<unsigned long long>(stats.total_rejected()),
               delivered == verdicts ? "" : "  [MISMATCH]");
   if (!journal_path.empty()) {
-    std::printf("journal written to %s via %s (%llu append errors)\n",
+    std::printf("journal written to %s (%llu append errors)\n",
                 journal_path.c_str(),
-                group_commit ? "group commit" : "synchronous appends",
-                static_cast<unsigned long long>(journal_errors));
+                static_cast<unsigned long long>(journal.lost_records()));
   }
   if (delivered != verdicts) exit_code = 1;
 
@@ -1263,7 +1258,6 @@ int RunServe(const Args& args) {
 
   ObservationJournal journal;
   const std::string journal_path = args.Get("journal", "");
-  const bool group_commit = args.Get("sync-journal", "") != "true";
   if (!journal_path.empty()) {
     auto opened = ObservationJournal::Open(journal_path);
     if (!opened.ok()) {
@@ -1272,13 +1266,12 @@ int RunServe(const Args& args) {
       return 1;
     }
     journal = std::move(*opened);
-    if (group_commit) journal.StartGroupCommit({});
     service.AttachJournal(&journal);
   }
 
   // Background compactor: checkpoint the journal every N accepted
   // observations, concurrently with the tenant threads — the online
-  // checkpoint shape (rotation barrier vs live group-commit appends).
+  // checkpoint shape (rotation barrier vs live appends).
   const int checkpoint_interval = args.GetInt("checkpoint-interval", 0);
   std::atomic<bool> serving{true};
   std::atomic<uint64_t> checkpoints_taken{0};
@@ -1335,11 +1328,6 @@ int RunServe(const Args& args) {
       exit_code = 1;
     }
   }
-  // Read after Shutdown: the group-commit writer may only surface errors
-  // for in-flight batches when its final flush drains, and the exit report
-  // must account for every append the run handed it.
-  const uint64_t journal_errors = service.journal_errors();
-
   std::printf("served %zu queries in %.2f s: %.0f queries/s\n", report.queries,
               report.wall_seconds, report.queries_per_second);
   if (driver_options.chaos) {
@@ -1357,10 +1345,9 @@ int RunServe(const Args& args) {
               static_cast<unsigned long long>(stats.total_rejected()),
               service.NumDisabled(), service.NumSignatures());
   if (!journal_path.empty()) {
-    std::printf("journal written to %s via %s (%llu append errors)\n",
+    std::printf("journal written to %s (%llu append errors)\n",
                 journal_path.c_str(),
-                group_commit ? "group commit" : "synchronous appends",
-                static_cast<unsigned long long>(journal_errors));
+                static_cast<unsigned long long>(journal.lost_records()));
   }
   if (checkpoint_interval > 0 && !journal_path.empty()) {
     std::printf("journal checkpoints: %llu (every %d accepted observations)\n",
@@ -1396,7 +1383,7 @@ int RunServe(const Args& args) {
 // process metrics registry: a chaos workload (job faults + telemetry faults,
 // so the sanitizer / failure-policy / guardrail counters move) driven from a
 // thread pool (so the pool's queue-depth / task-latency instruments report)
-// through a group-commit journal (appends, batch sizes, flush latency).
+// through a journal (appends, batch sizes, flush latency).
 int RunMetrics(const Args& args) {
   const sparksim::ConfigSpace space = sparksim::QueryLevelSpace();
   const FlightingConfig::Suite suite = SuiteFromName(args.Get("suite", "tpch"));
@@ -1424,7 +1411,6 @@ int RunMetrics(const Args& args) {
     return 1;
   }
   journal = std::move(*opened);
-  journal.StartGroupCommit({});
   service.AttachJournal(&journal);
 
   tools::ConcurrentDriverOptions driver_options;
@@ -1437,7 +1423,6 @@ int RunMetrics(const Args& args) {
     tools::ConcurrentDriver::DrivePlan(&service, plans[i], driver_options);
   });
   pool.Shutdown();
-  journal.StopGroupCommit();
   int exit_code = 0;
   if (Status st = journal.Close(); !st.ok()) {
     std::fprintf(stderr, "journal close failed: %s\n", st.ToString().c_str());
@@ -1627,7 +1612,7 @@ void PrintUsage() {
       "          flags: --journal=FILE\n"
       "  serve   drive one shared service from concurrent tenant threads\n"
       "          flags: --suite=tpcds|tpch --threads=N --iters=N --chaos\n"
-      "                 --latency-us=N --journal=FILE --sync-journal\n"
+      "                 --latency-us=N --journal=FILE\n"
       "                 --memory-budget=BYTES --state-dir=DIR\n"
       "                 --checkpoint-interval=N\n"
       "                 --fl=F --sl=F --seed=N --metrics-format=prom|json|off\n"

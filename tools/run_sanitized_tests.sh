@@ -6,7 +6,8 @@
 # Usage: tools/run_sanitized_tests.sh [asan|tsan] [ctest-args...]
 #   asan (default): AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan:           ThreadSanitizer — exercises the sharded service, the
-#                   striped stores, the group-commit journal writer, the
+#                   striped stores, concurrent journal appends and shared
+#                   Syncs, the
 #                   ThreadPool / experiment-runner tests (shutdown under
 #                   load, concurrent ParallelFor, parallel arms), the
 #                   QueryPlan stats cache's CAS publication, and the
@@ -90,8 +91,8 @@ mkdir -p "${state_scratch}"
 # threads takes loopback traffic from a multi-threaded loadgen (closed-loop
 # workers plus an open-loop noisy tenant hammering the token buckets), then
 # drains on SIGTERM. Races between the event loop, the session batcher, the
-# admission sampler, and the group-commit journal writer all run under the
-# sanitizer here.
+# admission sampler, and concurrent journal appends and Syncs all run under
+# the sanitizer here.
 echo "== ${mode}: loopback serve → loadgen smoke =="
 net_scratch="${build_dir}/net-scratch"
 rm -rf "${net_scratch}"
