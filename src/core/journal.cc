@@ -18,6 +18,12 @@ namespace {
 
 constexpr char kHeader[] = "rockhopper-journal v1";
 
+// Writes and commits the header of a fresh journal file; false when the
+// disk refused it.
+bool WriteHeader(std::FILE* file) {
+  return std::fprintf(file, "%s\n", kHeader) >= 0 && std::fflush(file) == 0;
+}
+
 // Serializes the checksummed portion of one record. Hexfloat keeps doubles
 // bit-exact across the round trip.
 std::string FormatPayload(uint64_t signature, const Observation& obs) {
@@ -159,9 +165,9 @@ Result<ObservationJournal> ObservationJournal::Open(const std::string& path) {
   }
   // In append mode the position is at EOF; an empty file needs the header.
   std::fseek(file, 0, SEEK_END);
-  if (std::ftell(file) == 0) {
-    std::fprintf(file, "%s\n", kHeader);
-    std::fflush(file);
+  if (std::ftell(file) == 0 && !WriteHeader(file)) {
+    std::fclose(file);
+    return Status::IOError("cannot write journal header: " + path);
   }
   ObservationJournal journal;
   journal.file_ = file;
@@ -266,16 +272,18 @@ Result<ObservationJournal::RotateResult> ObservationJournal::Rotate(
                                 ": " + ec.message()));
   }
   std::FILE* fresh = std::fopen(path_.c_str(), "ab");
-  if (fresh == nullptr) {
+  if (fresh == nullptr || !WriteHeader(fresh)) {
     // The live handle still targets the sealed inode, so later appends land
     // in the segment — which stays ahead of any checkpoint in the recovery
     // chain (this rotation failed, so nothing absorbs it). Degraded but
-    // durable.
+    // durable. A fresh file without its header goes again.
+    if (fresh != nullptr) {
+      std::fclose(fresh);
+      std::filesystem::remove(path_, ec);
+    }
     return Fail(
         Status::IOError("cannot reopen journal after rotate: " + path_));
   }
-  std::fprintf(fresh, "%s\n", kHeader);
-  std::fflush(fresh);
   file_.store(fresh, std::memory_order_release);
   std::fclose(live);
   // The fresh live file starts a new valid prefix; the record that tripped

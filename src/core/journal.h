@@ -65,7 +65,7 @@ class ObservationJournal {
 
   /// Opens `path` for appending, writing the header when the file is new or
   /// empty. An existing journal keeps its records — Append continues it.
-  /// kIOError when the filesystem refuses the open.
+  /// kIOError when the filesystem refuses the open or the header write.
   static Result<ObservationJournal> Open(const std::string& path);
 
   /// Stages one record: formats it and writes it into the stdio buffer
@@ -115,7 +115,8 @@ class ObservationJournal {
   /// A successful rotation clears the sticky error: the torn or unflushed
   /// record that ended the old valid prefix is confined to the sealed
   /// segment, where recovery drops it like any torn tail, and the fresh live
-  /// file starts a new valid prefix.
+  /// file starts a new valid prefix. A fresh file whose header the disk
+  /// refuses is removed again and the rotation fails with kIOError.
   Result<RotateResult> Rotate(uint64_t min_index = 0);
 
   /// Completed segment files of `path` ("<path>.seg-<k>"), sorted by index.

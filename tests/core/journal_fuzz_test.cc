@@ -4,9 +4,15 @@
 // records intact, report the tail as kDataLoss, and never crash.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -139,77 +145,139 @@ TEST_F(JournalFuzzTest, EmptyTailLineIsDataLoss) {
   ExpectPrefixIntact(*recovered, kRecords);
 }
 
-TEST(JournalStickyErrorTest, DevFullSurfacesFirstErrorEverywhere) {
-  if (!std::filesystem::exists("/dev/full")) {
-    GTEST_SKIP() << "/dev/full not available";
+// Collects the first failed check of a child process, whose gtest
+// assertions would not reach the parent.
+struct ChildChecks {
+  std::string failure;
+  void Eq(const std::string& what, uint64_t actual, uint64_t expected) {
+    if (failure.empty() && actual != expected) {
+      failure = what + ": got " + std::to_string(actual) + ", want " +
+                std::to_string(expected);
+    }
   }
-  auto opened = ObservationJournal::Open("/dev/full");
-  if (!opened.ok()) {
-    // The header write already hit ENOSPC — equally valid surfacing.
-    EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
-    return;
+  void Code(const std::string& what, const Status& status, StatusCode want) {
+    Eq(what + " (" + status.ToString() + ")",
+       static_cast<uint64_t>(status.code()), static_cast<uint64_t>(want));
   }
-  ObservationJournal journal = std::move(*opened);
+  void True(const std::string& what, bool holds) { Eq(what, holds, true); }
+};
+
+// Opens a journal at `path` on a healthy disk, then makes the disk full:
+// the process lowers its own file-size limit to `limit` bytes, with SIGXFSZ
+// ignored so writes past it fail with EFBIG. Runs `body` on the open journal
+// and returns 0 when every check held. Meant for an EXPECT_EXIT child, so
+// the lowered limit never reaches the rest of the suite.
+int RunOnFullDisk(
+    const std::string& path, rlim_t limit,
+    const std::function<void(ObservationJournal&, ChildChecks&)>& body) {
+  ChildChecks checks;
+  auto opened = ObservationJournal::Open(path);
+  checks.Code("open", opened.status(), StatusCode::kOk);
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit lowered{limit, limit};
+  checks.True("setrlimit", setrlimit(RLIMIT_FSIZE, &lowered) == 0);
+  if (checks.failure.empty()) body(*opened, checks);
+  if (checks.failure.empty()) return 0;
+  std::fprintf(stderr, "%s\n", checks.failure.c_str());
+  return 1;
+}
+
+Observation FullDiskObs(int iteration) {
   Observation obs;
   obs.config = {1.0, 2.0};
   obs.data_size = 1.0;
   obs.runtime = 5.0;
-  Status first;
-  for (int i = 0; i < 4 && first.ok(); ++i) {
-    obs.iteration = i;
-    first = journal.Append(7, obs);
-    // Append only stages; the commit is where the full disk surfaces.
-    if (first.ok()) first = journal.Sync();
+  obs.iteration = iteration;
+  return obs;
+}
+
+TEST(JournalStickyErrorTest, DevFullSurfacesFirstErrorEverywhere) {
+  if (std::filesystem::exists("/dev/full")) {
+    // The header write already hits ENOSPC.
+    auto opened = ObservationJournal::Open("/dev/full");
+    EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
   }
-  ASSERT_FALSE(first.ok());
-  // Fail-fast stickiness: later appends and the shutdown path all surface
-  // the first error instead of pretending the journal is healthy.
-  obs.iteration = 99;
-  EXPECT_EQ(journal.Append(7, obs).code(), first.code());
-  EXPECT_EQ(journal.Sync().code(), first.code());
-  EXPECT_EQ(journal.Close().code(), first.code());
+  // A journal that opened cleanly before the disk filled: the first commit
+  // fails, and fail-fast stickiness makes later appends and the shutdown
+  // path surface that first error instead of pretending all is well.
+  const test_support::TestTempDir dir;
+  EXPECT_EXIT(
+      std::exit(RunOnFullDisk(
+          dir.File("journal.log"), 0,
+          [](ObservationJournal& journal, ChildChecks& checks) {
+            Status first;
+            for (int i = 0; i < 4 && first.ok(); ++i) {
+              first = journal.Append(7, FullDiskObs(i));
+              // Append only stages; the commit is where the disk surfaces.
+              if (first.ok()) first = journal.Sync();
+            }
+            checks.True("a write failed", !first.ok());
+            checks.Code("append", journal.Append(7, FullDiskObs(99)),
+                        first.code());
+            checks.Code("sync", journal.Sync(), first.code());
+            checks.Code("close", journal.Close(), first.code());
+          })),
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(JournalStickyErrorTest, DevFullCountsEveryAppendExactlyOnce) {
-  if (!std::filesystem::exists("/dev/full")) {
-    GTEST_SKIP() << "/dev/full not available";
-  }
-  const ServiceMetrics& metrics = ServiceMetrics::Get();
-  const uint64_t appends0 = metrics.journal_appends->Value();
-  const uint64_t errors0 = metrics.journal_errors->Value();
-  const uint64_t flushes0 = metrics.journal_flush_seconds->Count();
-  const uint64_t batches0 = metrics.journal_batch_size->Count();
-  {
-    auto opened = ObservationJournal::Open("/dev/full");
-    if (!opened.ok()) {
-      EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
-      return;
-    }
-    ObservationJournal journal = std::move(*opened);
-    Observation obs;
-    obs.config = {1.0, 2.0};
-    obs.data_size = 1.0;
-    obs.runtime = 5.0;
-    // Three records stage, then one failed batch flush loses all three;
-    // the sticky error refuses the next two outright.
-    for (int i = 0; i < 3; ++i) {
-      obs.iteration = i;
-      ASSERT_TRUE(journal.Append(7, obs).ok());
-    }
-    EXPECT_EQ(journal.Sync().code(), StatusCode::kIOError);
-    for (int i = 3; i < 5; ++i) {
-      obs.iteration = i;
-      EXPECT_EQ(journal.Append(7, obs).code(), StatusCode::kIOError);
-    }
-    EXPECT_EQ(journal.Close().code(), StatusCode::kIOError);
-    EXPECT_EQ(journal.lost_records(), 5u);
-  }
-  // appends + errors == accepted: each of the five Append calls lands in
-  // exactly one series, and only the one real flush is observed.
-  EXPECT_EQ(metrics.journal_appends->Value() - appends0, 0u);
-  EXPECT_EQ(metrics.journal_errors->Value() - errors0, 5u);
-  EXPECT_EQ(metrics.journal_flush_seconds->Count() - flushes0, 1u);
-  EXPECT_EQ(metrics.journal_batch_size->Count() - batches0, 1u);
+  const test_support::TestTempDir dir;
+  // The limit sits right at the end of the header: the journal opens
+  // cleanly and its first batch commit is the first write the disk refuses.
+  EXPECT_EXIT(
+      std::exit(RunOnFullDisk(
+          dir.File("journal.log"), std::strlen("rockhopper-journal v1\n"),
+          [](ObservationJournal& journal, ChildChecks& checks) {
+            const ServiceMetrics& metrics = ServiceMetrics::Get();
+            const uint64_t appends0 = metrics.journal_appends->Value();
+            const uint64_t errors0 = metrics.journal_errors->Value();
+            const uint64_t flushes0 = metrics.journal_flush_seconds->Count();
+            const uint64_t batches0 = metrics.journal_batch_size->Count();
+            // Three records stage, then one failed batch flush loses all
+            // three; the sticky error refuses the next two outright.
+            for (int i = 0; i < 3; ++i) {
+              checks.Code("staging append", journal.Append(7, FullDiskObs(i)),
+                          StatusCode::kOk);
+            }
+            checks.Code("sync", journal.Sync(), StatusCode::kIOError);
+            for (int i = 3; i < 5; ++i) {
+              checks.Code("refused append", journal.Append(7, FullDiskObs(i)),
+                          StatusCode::kIOError);
+            }
+            checks.Code("close", journal.Close(), StatusCode::kIOError);
+            checks.Eq("lost_records", journal.lost_records(), 5);
+            // appends + errors == accepted: each of the five Append calls
+            // lands in exactly one series, and only the one real flush is
+            // observed.
+            checks.Eq("appends delta",
+                      metrics.journal_appends->Value() - appends0, 0);
+            checks.Eq("errors delta",
+                      metrics.journal_errors->Value() - errors0, 5);
+            checks.Eq("flushes delta",
+                      metrics.journal_flush_seconds->Count() - flushes0, 1);
+            checks.Eq("batches delta",
+                      metrics.journal_batch_size->Count() - batches0, 1);
+          })),
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(JournalStickyErrorTest, RotateFailsWhenTheFreshHeaderIsRefused) {
+  const test_support::TestTempDir dir;
+  const std::string path = dir.File("journal.log");
+  EXPECT_EXIT(
+      std::exit(RunOnFullDisk(
+          path, 0, [&path](ObservationJournal& journal, ChildChecks& checks) {
+            checks.Code("rotate", journal.Rotate().status(),
+                        StatusCode::kIOError);
+            // The headerless live file is gone, the sealed segment holds the
+            // old prefix, and the error stays sticky.
+            checks.True("live file removed", !std::filesystem::exists(path));
+            checks.True("segment sealed",
+                        std::filesystem::exists(path + ".seg-1"));
+            checks.Code("append after rotate", journal.Append(7, FullDiskObs(0)),
+                        StatusCode::kIOError);
+          })),
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

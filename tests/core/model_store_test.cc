@@ -8,24 +8,15 @@
 #include "core/baseline_model.h"
 #include "core/flighting.h"
 #include "sparksim/simulator.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::core {
 namespace {
 
 class ModelStoreTest : public ::testing::Test {
  protected:
-  ModelStoreTest() {
-    root_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_store_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
-                .string();
-  }
-  ~ModelStoreTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-
-  std::string root_;
+  const test_support::TestTempDir temp_;
+  const std::string root_ = temp_.File("store");
 };
 
 TEST_F(ModelStoreTest, PutGetRoundTrip) {

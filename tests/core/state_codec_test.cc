@@ -15,6 +15,7 @@
 #include "core/model_store.h"
 #include "core/scorer.h"
 #include "core/tuning_service.h"
+#include "support/test_temp_dir.h"
 #include "sparksim/workloads.h"
 
 namespace rockhopper::core {
@@ -37,17 +38,7 @@ QueryState MakeState(const sparksim::ConfigSpace& space,
 
 class StateCodecTest : public ::testing::Test {
  protected:
-  StateCodecTest() : space_(sparksim::QueryLevelSpace()) {
-    store_dir_ = (std::filesystem::temp_directory_path() /
-                  ("rockhopper_state_codec_" +
-                   std::to_string(reinterpret_cast<uintptr_t>(this))))
-                     .string();
-    std::filesystem::remove_all(store_dir_);
-  }
-  ~StateCodecTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(store_dir_, ec);
-  }
+  StateCodecTest() : space_(sparksim::QueryLevelSpace()) {}
 
   TuningServiceOptions FastOptions() {
     TuningServiceOptions options;
@@ -79,7 +70,8 @@ class StateCodecTest : public ::testing::Test {
   }
 
   sparksim::ConfigSpace space_;
-  std::string store_dir_;
+  const test_support::TestTempDir temp_;
+  const std::string store_dir_ = temp_.File("store");
 };
 
 TEST_F(StateCodecTest, EncodeDecodeReencodeByteIdentical) {

@@ -13,6 +13,7 @@
 #include "core/journal.h"
 #include "core/model_store.h"
 #include "core/tuning_service.h"
+#include "support/test_temp_dir.h"
 #include "sparksim/workloads.h"
 
 namespace rockhopper::core {
@@ -86,18 +87,7 @@ TEST(TransferIndexTest, ConcurrentRegisterAndSearchIsSafe) {
 
 class TransferServiceTest : public ::testing::Test {
  protected:
-  TransferServiceTest() : space_(sparksim::QueryLevelSpace()) {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rockhopper_transfer_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this))))
-               .string();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~TransferServiceTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
+  TransferServiceTest() : space_(sparksim::QueryLevelSpace()) {}
 
   TuningServiceOptions TransferOn() {
     TuningServiceOptions options;
@@ -127,7 +117,8 @@ class TransferServiceTest : public ::testing::Test {
   }
 
   sparksim::ConfigSpace space_;
-  std::string dir_;
+  const test_support::TestTempDir temp_;
+  const std::string dir_ = temp_.path().string();
 };
 
 TEST_F(TransferServiceTest, ColdSignatureWarmStartsFromNeighbors) {

@@ -13,6 +13,7 @@
 #include "core/tuning_service.h"
 #include "sparksim/simulator.h"
 #include "sparksim/workloads.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper {
 namespace {
@@ -22,17 +23,8 @@ namespace sparksim = rockhopper::sparksim;
 
 class DeploymentTest : public ::testing::Test {
  protected:
-  DeploymentTest() {
-    root_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_deploy_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
-                .string();
-  }
-  ~DeploymentTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-  std::string root_;
+  const test_support::TestTempDir temp_;
+  const std::string root_ = temp_.File("root");
 };
 
 TEST_F(DeploymentTest, FullLifecycle) {

@@ -13,8 +13,10 @@ Dataset LinearData(double w0, double w1, double intercept, double noise_sd,
   for (int i = 0; i < n; ++i) {
     const double x0 = rng->Uniform(-2, 2);
     const double x1 = rng->Uniform(-2, 2);
-    d.Add({x0, x1},
-          intercept + w0 * x0 + w1 * x1 + rng->Normal(0.0, noise_sd));
+    // A zero-stddev normal_distribution is undefined behaviour (it aborts
+    // under _GLIBCXX_ASSERTIONS), so noiseless data draws no noise at all.
+    const double noise = noise_sd > 0.0 ? rng->Normal(0.0, noise_sd) : 0.0;
+    d.Add({x0, x1}, intercept + w0 * x0 + w1 * x1 + noise);
   }
   return d;
 }

@@ -12,20 +12,13 @@
 #include "core/tuning_service.h"
 #include "sim/service_digest.h"
 #include "sparksim/config_space.h"
+#include "support/test_temp_dir.h"
 
 namespace rockhopper::sim {
 namespace {
 
 class TraceTest : public ::testing::Test {
  protected:
-  TraceTest() {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("rockhopper_trace_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".trace"))
-                .string();
-  }
-  ~TraceTest() override { std::remove(path_.c_str()); }
-
   core::QueryEndEvent Event(uint64_t id, double runtime, bool failed = false) {
     core::QueryEndEvent event;
     event.event_id = id;
@@ -63,7 +56,8 @@ class TraceTest : public ::testing::Test {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  std::string path_;
+  const test_support::TestTempDir temp_;
+  const std::string path_ = temp_.File("run.trace");
 };
 
 TEST_F(TraceTest, RoundTripPreservesEveryField) {

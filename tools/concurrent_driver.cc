@@ -1,7 +1,6 @@
 #include "tools/concurrent_driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <thread>
@@ -11,24 +10,12 @@
 
 namespace rockhopper::tools {
 
-namespace {
-
-struct FaultTallies {
-  std::atomic<size_t> job_failures{0};
-  std::atomic<size_t> dropped{0};
-  std::atomic<size_t> duplicated{0};
-  std::atomic<size_t> reordered{0};
-  std::atomic<size_t> corrupted{0};
-};
-
 // One tenant's recurring job: drives a single plan through `iterations`
 // start/simulate/end cycles. Event ids are per-signature, which is all the
-// sanitizer's per-signature dedup window needs. `tallies` may be null
-// (callers that do not report fault counts).
-void DrivePlanImpl(core::TuningService* service,
-                   const sparksim::QueryPlan& plan,
-                   const ConcurrentDriverOptions& options,
-                   FaultTallies* tallies) {
+// sanitizer's per-signature dedup window needs.
+void ConcurrentDriver::DrivePlan(core::TuningService* service,
+                                 const sparksim::QueryPlan& plan,
+                                 const ConcurrentDriverOptions& options) {
   sparksim::SparkSimulator::Options sim_options;
   sim_options.noise = sparksim::NoiseParams{options.fluctuation_level,
                                             options.spike_level};
@@ -53,9 +40,6 @@ void DrivePlanImpl(core::TuningService* service,
       std::this_thread::sleep_for(
           std::chrono::microseconds(options.execution_latency_us));
     }
-    if (result.failed && tallies != nullptr) {
-      tallies->job_failures.fetch_add(1, std::memory_order_relaxed);
-    }
 
     core::QueryEndEvent event;
     event.event_id = next_event_id++;
@@ -71,30 +55,14 @@ void DrivePlanImpl(core::TuningService* service,
       if (fault.corruption != sparksim::TelemetryFault::Corruption::kNone) {
         event.runtime = sparksim::FaultModel::CorruptRuntime(event.runtime,
                                                              fault.corruption);
-        if (tallies != nullptr) {
-          tallies->corrupted.fetch_add(1, std::memory_order_relaxed);
-        }
       }
-      if (fault.drop) {
-        if (tallies != nullptr) {
-          tallies->dropped.fetch_add(1, std::memory_order_relaxed);
-        }
-        continue;
-      }
+      if (fault.drop) continue;
       if (fault.reorder) {
-        if (tallies != nullptr) {
-          tallies->reordered.fetch_add(1, std::memory_order_relaxed);
-        }
         delayed.push_back(event);
         continue;
       }
       service->OnQueryEnd(handle, event);
-      if (fault.duplicate) {
-        if (tallies != nullptr) {
-          tallies->duplicated.fetch_add(1, std::memory_order_relaxed);
-        }
-        service->OnQueryEnd(handle, event);
-      }
+      if (fault.duplicate) service->OnQueryEnd(handle, event);
       while (!delayed.empty()) {
         service->OnQueryEnd(handle, delayed.front());
         delayed.pop_front();
@@ -109,14 +77,6 @@ void DrivePlanImpl(core::TuningService* service,
   }
 }
 
-}  // namespace
-
-void ConcurrentDriver::DrivePlan(core::TuningService* service,
-                                 const sparksim::QueryPlan& plan,
-                                 const ConcurrentDriverOptions& options) {
-  DrivePlanImpl(service, plan, options, nullptr);
-}
-
 ConcurrentDriverReport ConcurrentDriver::Run(
     const std::vector<sparksim::QueryPlan>& plans) {
   ConcurrentDriverReport report;
@@ -125,7 +85,6 @@ ConcurrentDriverReport ConcurrentDriver::Run(
       std::max(1, std::min<int>(options_.threads,
                                 static_cast<int>(plans.size())));
 
-  FaultTallies tallies;
   const auto started = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
@@ -133,7 +92,7 @@ ConcurrentDriverReport ConcurrentDriver::Run(
     workers.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < plans.size();
            i += static_cast<size_t>(threads)) {
-        DrivePlanImpl(service_, plans[i], options_, &tallies);
+        DrivePlan(service_, plans[i], options_);
       }
     });
   }
@@ -146,11 +105,6 @@ ConcurrentDriverReport ConcurrentDriver::Run(
       std::chrono::duration<double>(finished - started).count();
   report.queries_per_second =
       report.wall_seconds > 0.0 ? report.queries / report.wall_seconds : 0.0;
-  report.job_failures = tallies.job_failures.load();
-  report.dropped_events = tallies.dropped.load();
-  report.duplicated_events = tallies.duplicated.load();
-  report.reordered_events = tallies.reordered.load();
-  report.corrupted_events = tallies.corrupted.load();
   return report;
 }
 

@@ -39,12 +39,6 @@ struct ConcurrentDriverReport {
   size_t queries = 0;
   double wall_seconds = 0.0;
   double queries_per_second = 0.0;
-  /// Chaos-path tallies (all zero when chaos is off).
-  size_t job_failures = 0;
-  size_t dropped_events = 0;
-  size_t duplicated_events = 0;
-  size_t reordered_events = 0;
-  size_t corrupted_events = 0;
 };
 
 /// Multi-tenant load harness for TuningService: K worker threads drive M
@@ -67,7 +61,7 @@ class ConcurrentDriver {
   /// cycles against `service` on the calling thread — the per-tenant unit of
   /// work Run() fans out. Public so harnesses that bring their own executor
   /// (e.g. a ThreadPool::ParallelFor over plans) can reuse the exact tenant
-  /// behavior, chaos injection included; fault tallies are not reported.
+  /// behavior, chaos injection included.
   static void DrivePlan(core::TuningService* service,
                         const sparksim::QueryPlan& plan,
                         const ConcurrentDriverOptions& options);

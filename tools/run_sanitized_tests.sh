@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Configures, builds, and runs the full test suite under a sanitizer build
-# (the ROCKHOPPER_SANITIZE option). Each sanitizer uses its own build
-# directory so the regular build stays untouched.
+# (the ROCKHOPPER_SANITIZE option), then the smokes below. Each sanitizer
+# uses its own build directory so the regular build stays untouched.
 #
 # Usage: tools/run_sanitized_tests.sh [asan|tsan] [ctest-args...]
 #   asan (default): AddressSanitizer + UndefinedBehaviorSanitizer
@@ -14,6 +14,10 @@
 #                   epoll front end (multi-thread event loop, session
 #                   batching, admission sampling) via the closing
 #                   serve → loadgen loopback smoke
+#
+# The documented check is the unfiltered run of both modes:
+#   tools/run_sanitized_tests.sh asan && tools/run_sanitized_tests.sh tsan
+# Extra ctest arguments (for example -R) narrow the suite for debugging only.
 #
 # Sanitized builds compile with -DROCKHOPPER_SIM=ON so the Buggify fault
 # sections (src/sim/buggify.h) are live: the suite's sim tests and the
@@ -69,37 +73,23 @@ echo "== ${mode}: rockhopper simulate smoke sweep =="
 "${build_dir}/tools/rockhopper" simulate --seeds=1..5 \
   --scratch="${build_dir}/sim-scratch"
 
-# Tiered-state smoke under the sanitizer: a multi-threaded serve with an
-# eviction budget tight enough to churn the clock hand, periodic journal
-# checkpoints, then an explicit offline checkpoint and a chain recovery of
-# the resulting image (evict / fault-in / rotate / truncate / recover all
-# race under the sanitizer's eyes).
-echo "== ${mode}: tiered-state serve + checkpoint + recover smoke =="
-state_scratch="${build_dir}/state-scratch"
-rm -rf "${state_scratch}"
-mkdir -p "${state_scratch}"
-"${build_dir}/tools/rockhopper" serve --threads=8 --iters=12 \
-  --journal="${state_scratch}/smoke.journal" \
-  --state-dir="${state_scratch}/store" \
-  --memory-budget=65536 --checkpoint-interval=50
-"${build_dir}/tools/rockhopper" checkpoint \
-  --journal="${state_scratch}/smoke.journal"
-"${build_dir}/tools/rockhopper" recover --suite=tpcds \
-  --journal="${state_scratch}/smoke.journal"
-
-# Network smoke under the sanitizer: a real epoll server with two I/O
-# threads takes loopback traffic from a multi-threaded loadgen (closed-loop
-# workers plus an open-loop noisy tenant hammering the token buckets), then
-# drains on SIGTERM. Races between the event loop, the session batcher, the
-# admission sampler, and concurrent journal appends and Syncs all run under
-# the sanitizer here.
-echo "== ${mode}: loopback serve → loadgen smoke =="
+# Serving smoke under the sanitizer: a real epoll server with two I/O
+# threads, a resident-state budget tight enough to churn the clock hand and
+# a checkpoint every 50 accepted observations, takes loopback traffic from a
+# multi-threaded loadgen (closed-loop workers plus an open-loop noisy tenant
+# hammering the token buckets), then drains on SIGTERM; an offline
+# checkpoint and a chain recovery of the image follow. Eviction, fault-in,
+# rotate and truncate race live ingest, the event loop, the session batcher,
+# the admission sampler and concurrent journal Syncs under the sanitizer.
+echo "== ${mode}: tiered serve → loadgen + checkpoint + recover smoke =="
 net_scratch="${build_dir}/net-scratch"
 rm -rf "${net_scratch}"
 mkdir -p "${net_scratch}"
 "${build_dir}/tools/rockhopper" serve --listen=127.0.0.1:0 --io-threads=2 \
   --journal="${net_scratch}/serve.journal" --tenant-rate=500 \
-  --metrics-format=off > "${net_scratch}/serve.log" 2>&1 &
+  --state-dir="${net_scratch}/store" --memory-budget=65536 \
+  --checkpoint-interval=50 --metrics-format=off \
+  > "${net_scratch}/serve.log" 2>&1 &
 serve_pid=$!
 serve_port=""
 for _ in $(seq 100); do
@@ -124,3 +114,11 @@ if ! wait "${serve_pid}"; then
   exit 1
 fi
 cat "${net_scratch}/serve.log"
+if ! grep -q 'journal checkpoints: [1-9]' "${net_scratch}/serve.log"; then
+  echo "ERROR: serve published no checkpoint while serving" >&2
+  exit 1
+fi
+"${build_dir}/tools/rockhopper" checkpoint \
+  --journal="${net_scratch}/serve.journal"
+"${build_dir}/tools/rockhopper" recover --suite=tpcds \
+  --journal="${net_scratch}/serve.journal"
