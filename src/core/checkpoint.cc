@@ -7,8 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <sstream>
+#include <functional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -45,11 +44,19 @@ std::string Describe(size_t n, const char* what) {
   return std::to_string(n) + " " + what;
 }
 
-/// One parsed record-bearing file: its header metadata, the raw validated
-/// lines (the compactor keeps bytes untouched), and damage accounting for
-/// the dropped suffix.
+/// Receives each valid record of a scanned file, in file order: the
+/// verbatim line bytes (no newline; valid only during the call) and the
+/// record parsed from them. Recovery keeps the parsed record, the compactor
+/// the bytes — so both go through one parse and one set of damage rules.
+using RecordSink =
+    std::function<void(std::string_view line, uint64_t signature,
+                       Observation&& obs)>;
+
+/// One scanned record-bearing file: its header metadata, how many valid
+/// records it handed to the sink, and damage accounting for the dropped
+/// suffix.
 struct RecordFile {
-  std::vector<std::string> lines;
+  size_t records = 0;
   size_t records_dropped = 0;
   size_t bytes_dropped = 0;
   bool clean = true;
@@ -98,10 +105,12 @@ bool ReadHeader(const std::string& path, FileKind kind, RecordFile* file) {
   return in && std::getline(in, header) && ParseHeader(header, kind, file);
 }
 
-/// Scans journal-format record lines in `text` starting at `pos`; the first
-/// invalid line ends the valid prefix (the writer is strictly sequential,
-/// so a corrupt record means corruption reached at least this offset).
-void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
+/// Scans journal-format record lines in `text` starting at `pos`, parsing
+/// each once and handing it to `sink`; the first invalid line ends the valid
+/// prefix (the writer is strictly sequential, so a corrupt record means
+/// corruption reached at least this offset).
+void ScanRecordLines(std::string_view text, size_t pos, RecordFile* file,
+                     const RecordSink& sink) {
   while (pos < text.size()) {
     const size_t newline = text.find('\n', pos);
     if (newline == std::string::npos) {
@@ -111,7 +120,7 @@ void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
       ++file->records_dropped;
       return;
     }
-    std::string line = text.substr(pos, newline - pos);
+    const std::string_view line = text.substr(pos, newline - pos);
     uint64_t signature = 0;
     Observation obs;
     if (!ParseJournalLine(line, &signature, &obs)) {
@@ -126,22 +135,28 @@ void ScanRecordLines(const std::string& text, size_t pos, RecordFile* file) {
       }
       return;
     }
-    file->lines.push_back(std::move(line));
+    ++file->records;
+    sink(line, signature, std::move(obs));
     pos = newline + 1;
   }
 }
 
-/// The one reader of every journal-family file: validates the `kind`
-/// header, then every line's CRC and payload (an lz delta body is decoded
-/// first). Damage never fails the call: the valid line prefix is kept and
-/// the rest counted as dropped; an undecodable lz body keeps nothing.
-/// kNotFound for a missing file, kInvalidArgument for a foreign header.
-Result<RecordFile> ReadRecordFile(const std::string& path, FileKind kind) {
-  std::ifstream in(path, std::ios::binary);
+/// The one reader of every journal-family file: reads it with one sized
+/// read, validates the `kind` header, then every line's CRC and payload (an
+/// lz delta body is decoded first), handing each valid record to `sink`.
+/// Damage never fails the call: the valid record prefix reaches the sink and
+/// the rest is counted as dropped; an undecodable lz body yields nothing.
+/// kNotFound for a missing file, kInvalidArgument for a foreign header —
+/// both before any record reaches the sink.
+Result<RecordFile> ReadRecordFile(const std::string& path, FileKind kind,
+                                  const RecordSink& sink) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text(static_cast<size_t>(std::max<std::streamoff>(in.tellg(), 0)),
+                   '\0');
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<size_t>(in.gcount()));
 
   RecordFile file;
   const size_t header_end = text.find('\n');
@@ -163,30 +178,17 @@ Result<RecordFile> ReadRecordFile(const std::string& path, FileKind kind) {
       file.bytes_dropped = body.size();
       return file;
     }
-    ScanRecordLines(*raw, 0, &file);
+    ScanRecordLines(*raw, 0, &file, sink);
   } else {
-    ScanRecordLines(text, header_end + 1, &file);
+    ScanRecordLines(text, header_end + 1, &file, sink);
   }
   // A file shorter than its declared count lost whole trailing lines
   // (truncation on a line boundary looks clean line-by-line).
-  if (file.clean && file.lines.size() < file.declared_records) {
+  if (file.clean && file.records < file.declared_records) {
     file.clean = false;
-    file.records_dropped += file.declared_records - file.lines.size();
+    file.records_dropped += file.declared_records - file.records;
   }
   return file;
-}
-
-Status ReplayLines(const std::vector<std::string>& lines,
-                   ObservationStore* store) {
-  for (const std::string& line : lines) {
-    uint64_t signature = 0;
-    Observation obs;
-    if (!ParseJournalLine(line, &signature, &obs)) {
-      return Status::Internal("validated journal line failed to reparse");
-    }
-    store->Append(signature, std::move(obs));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -284,13 +286,14 @@ Result<ChainInfo> DiscoverChain(const std::string& journal_path) {
   return info;
 }
 
-/// Full-read absorption of the valid delta chain, applying the shared
-/// damage rules: the healthy prefix is absorbed whole; the first unhealthy
-/// delta contributes its valid line prefix (advancing coverage only when it
-/// contributed lines, so surviving segments are never double-absorbed);
-/// everything after the break is dropped.
+/// Full-read absorption of the valid delta chain into `sink`, applying the
+/// shared damage rules: the healthy prefix is absorbed whole; the first
+/// unhealthy delta contributes its valid record prefix (advancing coverage
+/// only when it contributed records, so surviving segments are never
+/// double-absorbed); everything after the break is dropped.
 struct ChainAbsorption {
-  std::vector<std::string> lines;
+  /// Records handed to the sink.
+  size_t records = 0;
   uint64_t chain_seq = 0;
   size_t deltas_used = 0;
   size_t records_dropped = 0;
@@ -299,20 +302,23 @@ struct ChainAbsorption {
   std::string first_damage;
 };
 
-Result<ChainAbsorption> AbsorbDeltaChain(const ChainInfo& chain) {
+Result<ChainAbsorption> AbsorbDeltaChain(const ChainInfo& chain,
+                                         const RecordSink& sink) {
+  static const RecordSink kDiscard = [](std::string_view, uint64_t,
+                                        Observation&&) {};
   ChainAbsorption out;
   out.chain_seq = chain.base_seq;
   bool broken = false;
   for (const auto& [index, path] : chain.valid) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(delta, ReadRecordFile(path, FileKind::kDelta));
+    ROCKHOPPER_ASSIGN_OR_RETURN(
+        delta,
+        ReadRecordFile(path, FileKind::kDelta, broken ? kDiscard : sink));
     if (broken) {
       out.records_dropped += delta.declared_records;
       continue;
     }
-    if (!delta.lines.empty() || delta.clean) {
-      out.lines.insert(out.lines.end(),
-                       std::make_move_iterator(delta.lines.begin()),
-                       std::make_move_iterator(delta.lines.end()));
+    if (delta.records > 0 || delta.clean) {
+      out.records += delta.records;
       out.chain_seq = delta.last_segment;
       ++out.deltas_used;
     }
@@ -346,23 +352,25 @@ Result<CheckpointReport> Checkpoint(const std::string& journal_path,
 
   CheckpointReport report;
   report.checkpoint_path = checkpoint_path;
-  // The records the published file holds, in replay order: a full image
-  // rewrites image + chain + fresh segments, a delta only the fresh ones.
+  // The records the published file holds, verbatim and in replay order: a
+  // full image rewrites image + chain + fresh segments, a delta only the
+  // fresh ones.
   std::vector<std::string> lines;
+  const RecordSink keep_line = [&lines](std::string_view line, uint64_t,
+                                        Observation&&) {
+    lines.emplace_back(line);
+  };
   // Highest segment index covered; segments above it are fresh.
   uint64_t last_segment = chain.chain_seq;
   if (full) {
     Result<RecordFile> base =
-        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint);
+        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint, keep_line);
     if (base.ok()) {
-      lines = std::move(base->lines);
       report.records_dropped += base->records_dropped;
     } else if (base.status().code() != StatusCode::kNotFound) {
       return base.status();
     }
-    ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain));
-    lines.insert(lines.end(), std::make_move_iterator(chained.lines.begin()),
-                 std::make_move_iterator(chained.lines.end()));
+    ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(chain, keep_line));
     report.records_dropped += chained.records_dropped;
     report.deltas_absorbed = chained.deltas_used;
     // A damaged chain covers only up to its last contributing delta.
@@ -413,10 +421,8 @@ Result<CheckpointReport> Checkpoint(const std::string& journal_path,
   }
 
   for (const auto& [index, path] : fresh) {
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment,
-                                ReadRecordFile(path, FileKind::kJournal));
-    lines.insert(lines.end(), std::make_move_iterator(segment.lines.begin()),
-                 std::make_move_iterator(segment.lines.end()));
+    ROCKHOPPER_ASSIGN_OR_RETURN(
+        segment, ReadRecordFile(path, FileKind::kJournal, keep_line));
     // A torn segment tail is a record that was never acked (the sticky
     // journal error rejected everything after it); dropping it loses
     // nothing the service promised to keep.
@@ -558,15 +564,20 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
     note_damage(file.clean, file.records_dropped, file.bytes_dropped, path);
   };
 
+  // Every valid record is parsed once, straight into the store.
+  const RecordSink replay = [&chain](std::string_view, uint64_t signature,
+                                     Observation&& obs) {
+    chain.store.Append(signature, std::move(obs));
+  };
+
   const std::string checkpoint_path = CheckpointPath(journal_path);
   {
     Result<RecordFile> read =
-        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint);
+        ReadRecordFile(checkpoint_path, FileKind::kCheckpoint, replay);
     if (read.ok()) {
       found_any = true;
-      chain.checkpoint_records = read->lines.size();
+      chain.checkpoint_records = read->records;
       absorb_damage(*read, checkpoint_path);
-      ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(read->lines, &chain.store));
     } else if (read.status().code() != StatusCode::kNotFound) {
       return read.status();
     }
@@ -577,37 +588,35 @@ Result<JournalChain> RecoverJournalChain(const std::string& journal_path) {
   // and a recovery over the same files agree byte-for-byte).
   {
     ROCKHOPPER_ASSIGN_OR_RETURN(disk_chain, DiscoverChain(journal_path));
-    ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(disk_chain));
+    ROCKHOPPER_ASSIGN_OR_RETURN(chained, AbsorbDeltaChain(disk_chain, replay));
     if (!disk_chain.valid.empty()) found_any = true;
     // The image's own sequence when no delta contributed.
     chain.checkpoint_seq = chained.chain_seq;
-    chain.checkpoint_records += chained.lines.size();
+    chain.checkpoint_records += chained.records;
     chain.deltas_replayed = chained.deltas_used;
     note_damage(chained.clean, chained.records_dropped, chained.bytes_dropped,
                 "delta chain at " + chained.first_damage);
-    ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(chained.lines, &chain.store));
   }
 
   ROCKHOPPER_ASSIGN_OR_RETURN(segments,
                               ObservationJournal::ListSegments(journal_path));
   for (const auto& [index, path] : segments) {
     if (index <= chain.checkpoint_seq) continue;  // already in the checkpoint
-    ROCKHOPPER_ASSIGN_OR_RETURN(segment,
-                                ReadRecordFile(path, FileKind::kJournal));
+    ROCKHOPPER_ASSIGN_OR_RETURN(
+        segment, ReadRecordFile(path, FileKind::kJournal, replay));
     found_any = true;
     ++chain.segments_replayed;
-    chain.tail_records += segment.lines.size();
+    chain.tail_records += segment.records;
     absorb_damage(segment, path);
-    ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(segment.lines, &chain.store));
   }
 
   {
-    Result<RecordFile> read = ReadRecordFile(journal_path, FileKind::kJournal);
+    Result<RecordFile> read =
+        ReadRecordFile(journal_path, FileKind::kJournal, replay);
     if (read.ok()) {
       found_any = true;
-      chain.tail_records += read->lines.size();
+      chain.tail_records += read->records;
       absorb_damage(*read, journal_path);
-      ROCKHOPPER_RETURN_IF_ERROR(ReplayLines(read->lines, &chain.store));
     } else if (read.status().code() != StatusCode::kNotFound) {
       return read.status();
     }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,38 +45,210 @@ std::string FormatPayload(uint64_t signature, const Observation& obs) {
   return payload;
 }
 
+// C-locale isspace: the whitespace strto* skips before a field.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+// Exact decode of the `%a` forms the writer emits for zero and for normal
+// doubles: [-]0x0p+0 and [-]0x1[.h{1,13}]p(+|-)E with -1022 <= E <= 1023.
+// Every such token is exactly representable, so assembling the bits directly
+// equals strtod's result. False for any other spelling (the caller falls back
+// to strtod).
+bool ParseHexDouble(const char* p, const char* end, double* out) {
+  uint64_t bits = 0;
+  if (p != end && *p == '-') {
+    bits = uint64_t{1} << 63;
+    ++p;
+  }
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x') return false;
+  p += 2;
+  if (*p == '0') {
+    if (end - p != 4 || std::memcmp(p + 1, "p+0", 3) != 0) return false;
+    std::memcpy(out, &bits, sizeof(bits));
+    return true;
+  }
+  if (*p++ != '1') return false;
+  uint64_t mantissa = 0;
+  int digits = 0;
+  if (*p == '.') {
+    for (++p; p != end && digits < 13; ++p, ++digits) {
+      const int d = HexDigit(*p);
+      if (d < 0) break;
+      mantissa = mantissa << 4 | static_cast<uint64_t>(d);
+    }
+    if (digits == 0) return false;
+  }
+  if (end - p < 3 || *p != 'p' || (p[1] != '+' && p[1] != '-')) return false;
+  const bool negative_exponent = p[1] == '-';
+  int exponent = 0;
+  int exponent_digits = 0;
+  for (p += 2; p != end && exponent_digits < 4 && IsDigit(*p);
+       ++p, ++exponent_digits) {
+    exponent = exponent * 10 + (*p - '0');
+  }
+  if (exponent_digits == 0 || p != end) return false;
+  if (negative_exponent) exponent = -exponent;
+  if (exponent < -1022 || exponent > 1023) return false;
+  bits |= static_cast<uint64_t>(exponent + 1023) << 52 |
+          mantissa << (4 * (13 - digits));
+  std::memcpy(out, &bits, sizeof(bits));
+  return true;
+}
+
+// Reads the fields of one payload in place. Each read consumes exactly what
+// the matching strto* call would over a NUL-terminated copy of the payload —
+// leading whitespace, then the longest valid prefix — so the accepted
+// records and their values do not depend on the fast paths, which only skip
+// the libc call for the writer's own spellings. A field never reads past the
+// payload's end.
+class FieldCursor {
+ public:
+  FieldCursor(const char* begin, const char* end) : p_(begin), end_(end) {}
+
+  bool AtEnd() const { return p_ == end_; }
+  void SkipBlanks() {
+    while (p_ != end_ && *p_ == ' ') ++p_;
+  }
+  /// Blank-separated fields left, an upper bound on the values to come.
+  size_t BlanksLeft() const {
+    return static_cast<size_t>(std::count(p_, end_, ' '));
+  }
+
+  bool ReadU64(uint64_t* out) {
+    const char* token_end = Token();
+    if (token_end - p_ <= 19 && AllDigits(token_end)) {
+      uint64_t value = 0;
+      for (; p_ != token_end; ++p_) value = value * 10 + (*p_ - '0');
+      *out = value;
+      return true;
+    }
+    return Fallback(token_end, out, [](const char* text, char** parsed_end) {
+      return std::strtoull(text, parsed_end, 10);
+    });
+  }
+
+  bool ReadLong(long* out) {
+    const char* token_end = Token();
+    if (token_end - p_ <= 9 && AllDigits(token_end)) {
+      long value = 0;
+      for (; p_ != token_end; ++p_) value = value * 10 + (*p_ - '0');
+      *out = value;
+      return true;
+    }
+    return Fallback(token_end, out, [](const char* text, char** parsed_end) {
+      return std::strtol(text, parsed_end, 10);
+    });
+  }
+
+  bool ReadDouble(double* out) {
+    const char* token_end = Token();
+    if (ParseHexDouble(p_, token_end, out)) {
+      p_ = token_end;
+      return true;
+    }
+    return Fallback(token_end, out, [](const char* text, char** parsed_end) {
+      return std::strtod(text, parsed_end);
+    });
+  }
+
+ private:
+  // Skips leading whitespace; returns the end of the token that follows.
+  const char* Token() {
+    while (p_ != end_ && IsSpace(*p_)) ++p_;
+    const char* token_end = p_;
+    while (token_end != end_ && !IsSpace(*token_end)) ++token_end;
+    return token_end;
+  }
+
+  bool AllDigits(const char* token_end) const {
+    return p_ != token_end && std::all_of(p_, token_end, IsDigit);
+  }
+
+  // Runs `parse` (a strto* call) over a NUL-terminated copy of the token —
+  // strto* stops at whitespace, so it consumes the same prefix it would of
+  // the whole payload — and advances past what it consumed.
+  template <typename T, typename Parse>
+  bool Fallback(const char* token_end, T* out, Parse parse) {
+    const auto length = static_cast<size_t>(token_end - p_);
+    char small[64];
+    std::string large;
+    char* text = small;
+    if (length < sizeof(small)) {
+      std::memcpy(small, p_, length);
+      small[length] = '\0';
+    } else {
+      large.assign(p_, length);
+      text = large.data();
+    }
+    char* parsed_end = nullptr;
+    *out = parse(text, &parsed_end);
+    if (parsed_end == text) return false;
+    p_ += parsed_end - text;
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
 // Parses a payload back into (signature, observation). Returns false on any
-// malformed field — the caller treats that like a CRC mismatch.
-bool ParsePayload(const std::string& payload, uint64_t* signature,
+// malformed field — the caller treats that like a CRC mismatch. A NUL byte
+// ends the payload, as it would end the C string strto* reads.
+bool ParsePayload(std::string_view payload, uint64_t* signature,
                   Observation* obs) {
-  const char* cursor = payload.c_str();
-  char* end = nullptr;
-  *signature = std::strtoull(cursor, &end, 10);
-  if (end == cursor) return false;
-  cursor = end;
-  const long iteration = std::strtol(cursor, &end, 10);
-  if (end == cursor) return false;
-  cursor = end;
-  const long failed = std::strtol(cursor, &end, 10);
-  if (end == cursor || (failed != 0 && failed != 1)) return false;
-  cursor = end;
+  const char* end = static_cast<const char*>(
+      std::memchr(payload.data(), '\0', payload.size()));
+  FieldCursor cursor(payload.data(),
+                     end != nullptr ? end : payload.data() + payload.size());
+  long iteration = 0;
+  long failed = 0;
+  if (!cursor.ReadU64(signature) || !cursor.ReadLong(&iteration) ||
+      !cursor.ReadLong(&failed) || (failed != 0 && failed != 1)) {
+    return false;
+  }
   obs->iteration = static_cast<int>(iteration);
   obs->failed = failed == 1;
-  obs->data_size = std::strtod(cursor, &end);
-  if (end == cursor) return false;
-  cursor = end;
-  obs->runtime = std::strtod(cursor, &end);
-  if (end == cursor) return false;
-  cursor = end;
-  obs->config.clear();
-  while (true) {
-    while (*cursor == ' ') ++cursor;
-    if (*cursor == '\0') break;
-    const double v = std::strtod(cursor, &end);
-    if (end == cursor) return false;
-    obs->config.push_back(v);
-    cursor = end;
+  if (!cursor.ReadDouble(&obs->data_size) ||
+      !cursor.ReadDouble(&obs->runtime)) {
+    return false;
   }
+  obs->config.clear();
+  obs->config.reserve(cursor.BlanksLeft());
+  while (true) {
+    cursor.SkipBlanks();
+    if (cursor.AtEnd()) break;
+    double v = 0.0;
+    if (!cursor.ReadDouble(&v)) return false;
+    obs->config.push_back(v);
+  }
+  return true;
+}
+
+// Reads the 8-character checksum field as strtoul(text, &end, 16) would,
+// requiring it to consume all 8 characters.
+bool ParseCrcField(std::string_view text, uint32_t* crc) {
+  uint32_t value = 0;
+  for (char c : text) {
+    const int d = HexDigit(c);
+    if (d < 0) {
+      char copy[9];
+      std::memcpy(copy, text.data(), 8);
+      copy[8] = '\0';
+      char* end = nullptr;
+      *crc = static_cast<uint32_t>(std::strtoul(copy, &end, 16));
+      return end == copy + 8;
+    }
+    value = value << 4 | static_cast<uint32_t>(d);
+  }
+  *crc = value;
   return true;
 }
 
@@ -86,15 +261,13 @@ std::string FormatJournalLine(uint64_t signature, const Observation& obs) {
   return crc_buf + payload;
 }
 
-bool ParseJournalLine(const std::string& line, uint64_t* signature,
+bool ParseJournalLine(std::string_view line, uint64_t* signature,
                       Observation* obs) {
   if (line.size() <= 9 || line[8] != ' ') return false;
-  const std::string crc_text = line.substr(0, 8);
-  char* end = nullptr;
-  const unsigned long crc = std::strtoul(crc_text.c_str(), &end, 16);
-  const std::string payload = line.substr(9);
-  return end == crc_text.c_str() + crc_text.size() &&
-         static_cast<uint32_t>(crc) == common::Crc32(payload) &&
+  uint32_t crc = 0;
+  const std::string_view payload = line.substr(9);
+  return ParseCrcField(line.substr(0, 8), &crc) &&
+         crc == common::Crc32(payload) &&
          ParsePayload(payload, signature, obs);
 }
 

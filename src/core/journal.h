@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,12 +15,13 @@
 namespace rockhopper::core {
 
 /// Formats one checksummed journal record line ("<crc-hex8> <payload>",
-/// no trailing newline). Shared with the checkpoint compactor, which stores
-/// absorbed records in the same self-checking format.
+/// no trailing newline) — the bytes ObservationJournal::Append writes.
 std::string FormatJournalLine(uint64_t signature, const Observation& obs);
 
-/// Parses and CRC-validates one record line; false on any damage.
-bool ParseJournalLine(const std::string& line, uint64_t* signature,
+/// Parses and CRC-validates one record line (no newline) in place; false on
+/// any damage. Reads nothing outside `line`, so it can point into a whole
+/// file's buffer. Doubles decode bit-exactly.
+bool ParseJournalLine(std::string_view line, uint64_t* signature,
                       Observation* obs);
 
 /// Accepted and ignored by StartGroupCommit; kept only because perfbench/

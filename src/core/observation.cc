@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/csv.h"
 #include "common/table.h"
@@ -56,6 +57,42 @@ void ObservationStore::Append(uint64_t signature, Observation obs) {
                           std::memory_order_relaxed);
   entry.history.push_back(std::move(obs));
   TruncateLocked(entry, retention_window_.load(std::memory_order_relaxed));
+}
+
+void ObservationStore::AppendAll(uint64_t signature,
+                                 std::vector<Observation> rows) {
+  if (rows.empty()) return;
+  Shard& shard = ShardFor(signature);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Log& entry = shard.log[signature];
+  size_t bytes = 0;
+  for (Observation& obs : rows) {
+    if (obs.iteration < 0) obs.iteration = static_cast<int>(entry.total);
+    ++entry.total;
+    bytes += ApproxObservationBytes(obs);
+  }
+  approx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (entry.history.empty()) {
+    entry.history = std::move(rows);
+  } else {
+    entry.history.insert(entry.history.end(),
+                         std::make_move_iterator(rows.begin()),
+                         std::make_move_iterator(rows.end()));
+  }
+  TruncateLocked(entry, retention_window_.load(std::memory_order_relaxed));
+}
+
+std::vector<Observation> ObservationStore::Take(uint64_t signature) {
+  Shard& shard = ShardFor(signature);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.log.find(signature);
+  if (it == shard.log.end()) return {};
+  std::vector<Observation> history = std::move(it->second.history);
+  shard.log.erase(it);
+  size_t bytes = 0;
+  for (const Observation& obs : history) bytes += ApproxObservationBytes(obs);
+  approx_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  return history;
 }
 
 const std::vector<Observation>& ObservationStore::History(

@@ -68,6 +68,14 @@ class ObservationStore {
   /// retention truncation drops old rows.
   void Append(uint64_t signature, Observation obs);
 
+  /// Appends every row of `rows` for `signature` under one shard lock —
+  /// the same end state as calling Append on each row in order.
+  void AppendAll(uint64_t signature, std::vector<Observation> rows);
+
+  /// Removes `signature`'s log and hands back its retained history (empty
+  /// when unseen) without copying a row.
+  std::vector<Observation> Take(uint64_t signature);
+
   /// Full (retained) history for `signature` (empty when unseen). See the
   /// class comment for the reference-stability caveat under concurrency.
   const std::vector<Observation>& History(uint64_t signature) const;

@@ -509,13 +509,14 @@ QueryState TuningService::Replay(uint64_t signature,
 }
 
 size_t TuningService::AppendReplayRows(uint64_t signature,
-                                       const std::vector<Observation>& rows) {
-  size_t kept = 0;
-  for (const Observation& obs : rows) {
-    if (!SanitizeReplayRow(obs)) continue;
-    observations_.Append(signature, obs);
-    ++kept;
-  }
+                                       std::vector<Observation> rows) {
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [this](const Observation& obs) {
+                              return !SanitizeReplayRow(obs);
+                            }),
+             rows.end());
+  const size_t kept = rows.size();
+  observations_.AppendAll(signature, std::move(rows));
   return kept;
 }
 
@@ -648,14 +649,8 @@ Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
       continue;
     }
     restored.push_back(signature);
-    // Both modes load the same sanitized rows into the store, so lazy and
-    // eager twins end up with byte-identical stores; they differ only in
-    // when the tuner is rebuilt.
-    const std::vector<Observation>& history = chain.store.History(signature);
-    const size_t kept = AppendReplayRows(signature, history);
-    report.observations_replayed += kept;
-    report.observations_dropped += history.size() - kept;
-    ++report.signatures_restored;
+    // The history moves out of the chain: no row is copied.
+    std::vector<Observation> history = chain.store.Take(signature);
     if (recovery.lazy) {
       // Bounded-memory startup: the tuner materializes on first touch.
       ColdEntry cold;
@@ -665,6 +660,14 @@ Result<TuningService::RecoveryReport> TuningService::RecoverFromCheckpoint(
       // From the chain's full history, not the retention-windowed store.
       shards_.Emplace(signature, Replay(signature, *plan, history));
     }
+    // Both modes load the same sanitized rows into the store, so lazy and
+    // eager twins end up with byte-identical stores; they differ only in
+    // when the tuner is rebuilt.
+    const size_t rows = history.size();
+    const size_t kept = AppendReplayRows(signature, std::move(history));
+    report.observations_replayed += kept;
+    report.observations_dropped += rows - kept;
+    ++report.signatures_restored;
   }
   // Pre-warm the transfer index from the checkpointed artifact, filtered to
   // the signatures this recovery actually restored. Eagerly-replayed

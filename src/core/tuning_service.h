@@ -470,10 +470,9 @@ class TuningService {
   /// nor the shard map.
   QueryState Replay(uint64_t signature, const sparksim::QueryPlan& plan,
                     const std::vector<Observation>& rows);
-  /// Appends the rows of `rows` that pass SanitizeReplayRow to the store;
-  /// returns how many did.
-  size_t AppendReplayRows(uint64_t signature,
-                          const std::vector<Observation>& rows);
+  /// Drops the rows SanitizeReplayRow rejects and appends the rest to the
+  /// store in one bulk append; returns how many were kept.
+  size_t AppendReplayRows(uint64_t signature, std::vector<Observation> rows);
   /// Plan lookup across the recovery directory and the user resolver.
   const sparksim::QueryPlan* ResolvePlan(uint64_t signature) const;
   /// Row filter of Replay and AppendReplayRows: mirrors the ingestion

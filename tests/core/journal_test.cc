@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/checkpoint.h"
 #include "support/test_temp_dir.h"
 
@@ -262,6 +270,153 @@ TEST_F(JournalTest, MoveTransfersOwnership) {
   moved.Close();
   EXPECT_FALSE(moved.is_open());
   EXPECT_FALSE(moved.Append(1, Obs(1, 6.0)).ok());
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+uint64_t ToBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Doubles whose %a spellings cover every branch of the parser: zeros,
+// subnormals, the normal range's ends, infinities, NaNs, and normal values
+// with 0 through 13 fraction hex digits at both exponent signs.
+std::vector<double> CodecEdgeValues() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,     -0.0,     denorm,   -denorm,
+                                DBL_MIN, -DBL_MIN, DBL_MAX,  -DBL_MAX,
+                                inf,     -inf,     nan,      -nan,
+                                DBL_MIN / 3.0,     denorm * 12345.0,
+                                FromBits(0x000FFFFFFFFFFFFFull)};
+  for (int digits = 0; digits <= 13; ++digits) {
+    // 0x123456789abcd keeps every hex digit nonzero, so %a prints exactly
+    // `digits` fraction digits.
+    const uint64_t mantissa = digits == 0 ? 0
+                                          : (0x123456789ABCDull >>
+                                             (4 * (13 - digits)))
+                                                << (4 * (13 - digits));
+    for (int exponent : {-1022, -700, -1, 0, 1, 9, 700, 1023}) {
+      for (uint64_t sign : {uint64_t{0}, uint64_t{1} << 63}) {
+        values.push_back(FromBits(
+            sign | static_cast<uint64_t>(exponent + 1023) << 52 | mantissa));
+      }
+    }
+  }
+  return values;
+}
+
+void ExpectSameBits(double got, double want) {
+  EXPECT_EQ(ToBits(got), ToBits(want)) << std::hexfloat << want;
+}
+
+TEST(JournalCodecTest, FormatParseRoundTripIsBitIdentical) {
+  const std::vector<double> values = CodecEdgeValues();
+  for (double v : values) {
+    Observation obs;
+    obs.data_size = v;
+    obs.runtime = -v;
+    obs.config = {v, 1.0, v};
+    obs.iteration = 17;
+    obs.failed = true;
+    const std::string line = FormatJournalLine(123456789012345ull, obs);
+    uint64_t signature = 0;
+    Observation parsed;
+    ASSERT_TRUE(ParseJournalLine(line, &signature, &parsed)) << line;
+    EXPECT_EQ(signature, 123456789012345ull);
+    EXPECT_EQ(parsed.iteration, 17);
+    EXPECT_TRUE(parsed.failed);
+    ExpectSameBits(parsed.data_size, obs.data_size);
+    ExpectSameBits(parsed.runtime, obs.runtime);
+    ASSERT_EQ(parsed.config.size(), obs.config.size());
+    EXPECT_EQ(std::memcmp(parsed.config.data(), obs.config.data(),
+                          obs.config.size() * sizeof(double)),
+              0)
+        << line;
+  }
+}
+
+TEST(JournalCodecTest, EveryFormattedDoubleParsesAsStrtodDoes) {
+  std::vector<double> values = CodecEdgeValues();
+  uint64_t x = 0x243F6A8885A308D3ull;
+  for (int i = 0; i < 20000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double v = FromBits(x);
+    if (v == v) values.push_back(v);  // NaN payloads print as plain "nan"
+  }
+  for (double v : values) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%a", v);
+    Observation obs;
+    obs.config = {v};
+    uint64_t signature = 0;
+    Observation parsed;
+    ASSERT_TRUE(
+        ParseJournalLine(FormatJournalLine(1, obs), &signature, &parsed));
+    ASSERT_EQ(parsed.config.size(), 1u);
+    ExpectSameBits(parsed.config[0], std::strtod(text, nullptr));
+    ExpectSameBits(parsed.config[0], v);
+  }
+}
+
+TEST(JournalCodecTest, ParsesOnlyItsOwnSlice) {
+  Observation obs;
+  obs.data_size = 2.0;
+  obs.runtime = 3.0;
+  obs.config = {0.5, 1.0};
+  const std::string line = FormatJournalLine(5, obs);
+  ASSERT_EQ(line.substr(line.size() - 6), "0x1p+0");
+  for (const std::string& after :
+       {std::string("\n0x1p+0 0x1p+1 0x1p+2"), std::string("5 0x1p+0")}) {
+    const std::string buffer = line + after;
+    uint64_t signature = 0;
+    Observation parsed;
+    ASSERT_TRUE(ParseJournalLine(std::string_view(buffer.data(), line.size()),
+                                 &signature, &parsed));
+    EXPECT_EQ(signature, 5u);
+    ASSERT_EQ(parsed.config.size(), 2u);
+    ExpectSameBits(parsed.config[1], 1.0);
+  }
+  // The same bytes one field short fail the checksum, never borrowing a
+  // neighbour's field.
+  uint64_t signature = 0;
+  Observation parsed;
+  EXPECT_FALSE(ParseJournalLine(
+      std::string_view(line.data(), line.size() - 7), &signature, &parsed));
+}
+
+TEST(JournalCodecTest, AcceptsEveryFieldSpellingStrtodDoes) {
+  // Hand-written payload: decimal and uppercase spellings, a leading plus,
+  // and non-finite words all take the strtod path.
+  const std::string payload = "42 3 0 1.5 +2.25 1e3 -0X1.8P+1 inf -nan";
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08X ", common::Crc32(payload));
+  uint64_t signature = 0;
+  Observation parsed;
+  ASSERT_TRUE(ParseJournalLine(crc + payload, &signature, &parsed));
+  EXPECT_EQ(signature, 42u);
+  EXPECT_EQ(parsed.iteration, 3);
+  EXPECT_FALSE(parsed.failed);
+  EXPECT_EQ(parsed.data_size, 1.5);
+  EXPECT_EQ(parsed.runtime, 2.25);
+  ASSERT_EQ(parsed.config.size(), 4u);
+  EXPECT_EQ(parsed.config[0], 1000.0);
+  EXPECT_EQ(parsed.config[1], -3.0);
+  EXPECT_EQ(parsed.config[2], std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(parsed.config[3]));
+  // A field that is not a number still fails the record.
+  const std::string bad = "42 3 0 1.5 2.25 x";
+  std::snprintf(crc, sizeof(crc), "%08x ", common::Crc32(bad));
+  EXPECT_FALSE(ParseJournalLine(crc + bad, &signature, &parsed));
 }
 
 }  // namespace

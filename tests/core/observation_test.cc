@@ -222,6 +222,48 @@ TEST(ObservationRetentionTest, LastNSeesOnlyRetainedWindow) {
   EXPECT_DOUBLE_EQ(w.back().runtime, 15.0);
 }
 
+TEST(ObservationRetentionTest, AppendAllMatchesOneAppendPerRow) {
+  ObservationStore one_by_one;
+  ObservationStore bulk;
+  for (ObservationStore* store : {&one_by_one, &bulk}) {
+    store->SetRetention(4);
+    store->Append(7, Obs(0.5));  // an existing history to extend
+  }
+  std::vector<Observation> rows;
+  for (int i = 0; i < 6; ++i) rows.push_back(Obs(1.0 + i));
+  rows[2].iteration = 40;  // explicit numbers are kept
+  for (const Observation& row : rows) one_by_one.Append(7, row);
+  bulk.AppendAll(7, rows);
+
+  EXPECT_EQ(bulk.TotalAppended(7), one_by_one.TotalAppended(7));
+  EXPECT_EQ(bulk.TruncatedTotal(), one_by_one.TruncatedTotal());
+  EXPECT_EQ(bulk.ApproxBytes(), one_by_one.ApproxBytes());
+  const std::vector<Observation>& want = one_by_one.History(7);
+  const std::vector<Observation>& got = bulk.History(7);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].iteration, want[i].iteration) << i;
+    EXPECT_DOUBLE_EQ(got[i].runtime, want[i].runtime) << i;
+  }
+  EXPECT_EQ(got.front().iteration, 40);
+}
+
+TEST(ObservationStoreTest, TakeMovesTheHistoryOut) {
+  ObservationStore store;
+  for (int i = 0; i < 3; ++i) store.Append(5, Obs(1.0 + i));
+  store.Append(6, Obs(9.0));
+  const size_t six_bytes = ApproxObservationBytes(store.History(6)[0]);
+
+  const std::vector<Observation> taken = store.Take(5);
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_DOUBLE_EQ(taken[2].runtime, 3.0);
+  EXPECT_EQ(taken[2].iteration, 2);
+  EXPECT_EQ(store.Count(5), 0u);
+  EXPECT_EQ(store.Signatures(), std::vector<uint64_t>{6});
+  EXPECT_EQ(store.ApproxBytes(), six_bytes);
+  EXPECT_TRUE(store.Take(5).empty());
+}
+
 TEST(MinRuntimeTest, FindsMinimumAndRejectsEmpty) {
   ObservationWindow w = {Obs(5.0), Obs(2.0), Obs(9.0)};
   Result<double> r = MinRuntime(w);

@@ -273,6 +273,7 @@ int RunChaos(const Flags& flags) {
                    seed);
       return 1;
     }
+    if (seed == hi) break;  // ++seed would wrap at UINT64_MAX
   }
   return 0;
 }
@@ -318,6 +319,7 @@ int RunSimulate(const Flags& flags) {
                    seed, seed);
       return 1;
     }
+    if (seed == hi) break;  // ++seed would wrap at UINT64_MAX
   }
   return 0;
 }

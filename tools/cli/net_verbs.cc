@@ -173,12 +173,14 @@ int RunServe(const Flags& flags) {
               m.net_bad_crc->Value(), m.net_bad_frame->Value(),
               m.net_bad_payload->Value());
   // Histogram-derived latency quantiles (the Percentile helper): the
-  // server-side decode-to-response distribution.
+  // server-side decode-to-response distribution of admitted requests only —
+  // shed requests are never timed, so the shed count sits beside N.
   std::printf("request latency: p50 %.6f s, p99 %.6f s over %" PRIu64
-              " requests; mean batch %.1f\n",
+              " admitted requests (%" PRIu64 " shed); mean batch %.1f\n",
               m.net_request_seconds->Percentile(0.50),
               m.net_request_seconds->Percentile(0.99),
               m.net_request_seconds->Count(),
+              m.net_shed_tenant->Value() + m.net_shed_global->Value(),
               m.net_batch_size->Count() > 0
                   ? m.net_batch_size->Sum() /
                         static_cast<double>(m.net_batch_size->Count())

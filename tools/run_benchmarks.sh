@@ -331,12 +331,15 @@ run_state_suite() {
   local wall_ms=$(( (t1 - t0) / 1000000 ))
 
   python3 - "${tmp_dir}/state.log" "${bench_status}" "${time_cap}" \
-    "${wall_ms}" "${repo_root}/BENCH_state.json" <<'PYSTATE'
+    "${wall_ms}" "${repo_root}/BENCH_state.json" \
+    "${build_dir}/CMakeCache.txt" <<'PYSTATE'
 import json
+import os
 import re
 import sys
 
-log_path, bench_status, time_cap, wall_ms, out_path = sys.argv[1:6]
+(log_path, bench_status, time_cap, wall_ms, out_path,
+ cmake_cache) = sys.argv[1:7]
 with open(log_path) as f:
     log = f.read()
 
@@ -371,7 +374,16 @@ passed = (
     and fields["digest_ok"] == 1
     and fields["lazy_recover_s"] <= time_cap
 )
+build_type = "unknown"
+with open(cmake_cache) as f:
+    for line in f:
+        if line.startswith("CMAKE_BUILD_TYPE:"):
+            build_type = line.split("=", 1)[1].strip()
 result = {
+    # bench_state_scale is a plain binary; the rockhopper libraries it links
+    # are built in the same tree, so they share its build type.
+    "host": {"nproc": os.cpu_count(), "build_type": build_type,
+             "library_build_type": build_type},
     "summary": {
         "signatures": fields["signatures"],
         "lazy_recover_s": fields["lazy_recover_s"],
