@@ -22,7 +22,10 @@ int main() {
   CostModel model;
   common::TextTable table;
   std::vector<std::string> header = {"partitions"};
-  for (int q : queries) header.push_back("q" + std::to_string(q) + "_sec");
+  // Built by append: GCC 12 -O3 raises a false -Wrestrict on "q" + string.
+  for (int q : queries) {
+    header.push_back(std::string("q").append(std::to_string(q)).append("_sec"));
+  }
   table.SetHeader(header);
 
   std::vector<double> best(queries.size(), 1e300);

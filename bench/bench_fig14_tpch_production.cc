@@ -155,7 +155,8 @@ int main() {
     } else if (gain < 0.0) {
       ++minor_regressions;  // noise-level, the paper's "<0.7s" bucket
     }
-    per_query.AddRow({"q" + std::to_string(q),
+    // Built by append: GCC 12 -O3 raises a false -Wrestrict on "q" + string.
+    per_query.AddRow({std::string("q").append(std::to_string(q)),
                       common::TextTable::FormatDouble(def, 2),
                       common::TextTable::FormatDouble(late, 2),
                       common::TextTable::FormatDouble(gain, 1)});

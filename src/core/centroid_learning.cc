@@ -65,15 +65,16 @@ CentroidLearner::CentroidLearner(const sparksim::ConfigSpace& space,
 sparksim::ConfigVector CentroidLearner::Propose(double expected_data_size) {
   // Candidate 0 is the centroid itself, so "stay put" is always on the
   // table; the rest are drawn from the beta-neighborhood.
-  last_candidates_.clear();
-  last_candidates_.push_back(centroid_);
+  std::vector<sparksim::ConfigVector> candidates;
+  candidates.reserve(static_cast<size_t>(std::max(1, options_.num_candidates)));
+  candidates.push_back(centroid_);
   for (int i = 1; i < options_.num_candidates; ++i) {
-    last_candidates_.push_back(
-        space_.SampleNeighbor(centroid_, beta_, &rng_));
+    candidates.push_back(space_.SampleNeighbor(centroid_, beta_, &rng_));
   }
-  const size_t pick = scorer_->SelectBest(last_candidates_, expected_data_size,
-                                          best_runtime_);
-  return last_candidates_[pick < last_candidates_.size() ? pick : 0];
+  last_candidate_count_ = candidates.size();
+  const size_t pick =
+      scorer_->SelectBest(candidates, expected_data_size, best_runtime_);
+  return std::move(candidates[pick < candidates.size() ? pick : 0]);
 }
 
 ObservationWindow CentroidLearner::history() const {
@@ -188,10 +189,9 @@ Status CentroidLearner::Save(const std::string& prefix,
       writer->PutDoubleRows(prefix + ".history", history_rows));
   ROCKHOPPER_RETURN_IF_ERROR(
       writer->PutDoubleRows(prefix + ".elites", elite_rows));
-  ROCKHOPPER_RETURN_IF_ERROR(writer->PutDoubleRows(
-      prefix + ".last_candidates",
-      std::vector<std::vector<double>>(last_candidates_.begin(),
-                                       last_candidates_.end())));
+  ROCKHOPPER_RETURN_IF_ERROR(
+      writer->PutInt(prefix + ".last_candidate_count",
+                     static_cast<int64_t>(last_candidate_count_)));
   std::vector<double> gradient(last_gradient_.begin(), last_gradient_.end());
   ROCKHOPPER_RETURN_IF_ERROR(
       writer->PutDoubles(prefix + ".last_gradient", gradient));
@@ -213,7 +213,7 @@ Status CentroidLearner::Load(const std::string& prefix,
   ROCKHOPPER_ASSIGN_OR_RETURN(elite_rows,
                               reader.GetDoubleRows(prefix + ".elites"));
   ROCKHOPPER_ASSIGN_OR_RETURN(
-      candidate_rows, reader.GetDoubleRows(prefix + ".last_candidates"));
+      candidate_count, reader.GetInt(prefix + ".last_candidate_count"));
   ROCKHOPPER_ASSIGN_OR_RETURN(gradient,
                               reader.GetDoubles(prefix + ".last_gradient"));
   ROCKHOPPER_ASSIGN_OR_RETURN(best_runtime,
@@ -243,7 +243,7 @@ Status CentroidLearner::Load(const std::string& prefix,
         WindowFeatures(space_, obs.config, obs.data_size);
     elites_.push_back({std::move(obs), std::move(features)});
   }
-  last_candidates_.assign(candidate_rows.begin(), candidate_rows.end());
+  last_candidate_count_ = static_cast<size_t>(candidate_count);
   last_gradient_.clear();
   last_gradient_.reserve(gradient.size());
   for (double g : gradient) last_gradient_.push_back(static_cast<int>(g));
@@ -259,9 +259,6 @@ size_t CentroidLearner::ApproxBytes() const {
                  last_gradient_.size() * sizeof(int);
   for (const FeaturedObservation& row : history_) bytes += FeaturedBytes(row);
   for (const FeaturedObservation& row : elites_) bytes += FeaturedBytes(row);
-  for (const auto& candidate : last_candidates_) {
-    bytes += sizeof(candidate) + candidate.size() * sizeof(double);
-  }
   return bytes + scorer_->ApproxBytes();
 }
 

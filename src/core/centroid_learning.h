@@ -81,11 +81,10 @@ class CentroidLearner : public Tuner {
   /// The most recent gradient signs (empty before the first update).
   const GradientSigns& last_gradient() const { return last_gradient_; }
 
-  /// Exposes the candidate set generated for the latest Propose (for tests
-  /// and the monitoring dashboard's "explain this recommendation" view).
-  const std::vector<sparksim::ConfigVector>& last_candidates() const {
-    return last_candidates_;
-  }
+  /// Size of the candidate set scored at the latest Propose (0 before the
+  /// first), for the "explain this recommendation" view. The candidates
+  /// themselves live only for the duration of Propose.
+  size_t last_candidate_count() const { return last_candidate_count_; }
 
   /// Persists / restores the full tuner state under `prefix`: centroid,
   /// windows, step sizes, the scorer's learned state (via its Save/Load) and
@@ -119,7 +118,7 @@ class CentroidLearner : public Tuner {
   size_t history_start_ = 0;
   /// All-time best by size-normalized runtime, best first.
   std::vector<FeaturedObservation> elites_;
-  std::vector<sparksim::ConfigVector> last_candidates_;
+  size_t last_candidate_count_ = 0;
   GradientSigns last_gradient_;
   double best_runtime_;
   double alpha_;

@@ -22,19 +22,19 @@ struct TrendFit {
   double mean_runtime = 0.0;
 };
 
-TrendFit FitTrend(const std::vector<Observation>& history) {
+TrendFit FitTrend(const std::vector<Guardrail::TrendRow>& history) {
   TrendFit fit;
   if (history.size() < 3) return fit;
   ml::Dataset size_data;
   double sum = 0.0;
-  for (const Observation& obs : history) {
+  for (const Guardrail::TrendRow& obs : history) {
     size_data.Add({obs.data_size}, obs.runtime);
     sum += obs.runtime;
   }
   fit.mean_runtime = sum / static_cast<double>(history.size());
   if (!fit.size_model.Fit(size_data).ok()) return fit;
   ml::Dataset trend_data;
-  for (const Observation& obs : history) {
+  for (const Guardrail::TrendRow& obs : history) {
     const double residual =
         obs.runtime - fit.size_model.Predict({obs.data_size});
     trend_data.Add({static_cast<double>(obs.iteration)}, residual);
@@ -49,14 +49,14 @@ TrendFit FitTrend(const std::vector<Observation>& history) {
 double Guardrail::PredictNextRuntime() const {
   const TrendFit fit = FitTrend(history_);
   if (!fit.ok) return -1.0;
-  const Observation& last = history_.back();
+  const TrendRow& last = history_.back();
   return fit.size_model.Predict({last.data_size}) +
          fit.trend_model.Predict({static_cast<double>(last.iteration + 1)});
 }
 
 bool Guardrail::Record(const Observation& obs) {
   if (disabled_) return false;
-  history_.push_back(obs);
+  history_.push_back({obs.data_size, obs.runtime, obs.iteration});
   // Failure strikes run ahead of the exploration-budget gate: a config that
   // keeps killing jobs is disabled fast, while a lone failure resets before
   // the consecutive counter reaches the strike threshold. Failure strikes
@@ -103,19 +103,13 @@ Status Guardrail::Save(const std::string& prefix,
       writer->PutInt(prefix + ".failure_strikes", failure_strikes_));
   ROCKHOPPER_RETURN_IF_ERROR(writer->PutInt(prefix + ".consecutive_failures",
                                             consecutive_failures_));
-  // One row per observation: [data_size, runtime, iteration, failed,
-  // config...]. Iterations and the failed flag fit exactly in doubles.
+  // One row per observation: [data_size, runtime, iteration]. Iterations
+  // fit exactly in doubles.
   std::vector<std::vector<double>> rows;
   rows.reserve(history_.size());
-  for (const Observation& obs : history_) {
-    std::vector<double> row;
-    row.reserve(4 + obs.config.size());
-    row.push_back(obs.data_size);
-    row.push_back(obs.runtime);
-    row.push_back(static_cast<double>(obs.iteration));
-    row.push_back(obs.failed ? 1.0 : 0.0);
-    row.insert(row.end(), obs.config.begin(), obs.config.end());
-    rows.push_back(std::move(row));
+  for (const TrendRow& row : history_) {
+    rows.push_back(
+        {row.data_size, row.runtime, static_cast<double>(row.iteration)});
   }
   return writer->PutDoubleRows(prefix + ".history", rows);
 }
@@ -129,19 +123,13 @@ Status Guardrail::Load(const std::string& prefix,
   ROCKHOPPER_ASSIGN_OR_RETURN(
       consecutive, reader.GetInt(prefix + ".consecutive_failures"));
   ROCKHOPPER_ASSIGN_OR_RETURN(rows, reader.GetDoubleRows(prefix + ".history"));
-  std::vector<Observation> history;
+  std::vector<TrendRow> history;
   history.reserve(rows.size());
   for (const std::vector<double>& row : rows) {
-    if (row.size() < 4) {
-      return Status::InvalidArgument("guardrail history row too short");
+    if (row.size() != 3) {
+      return Status::InvalidArgument("guardrail history row is not 3 wide");
     }
-    Observation obs;
-    obs.data_size = row[0];
-    obs.runtime = row[1];
-    obs.iteration = static_cast<int>(row[2]);
-    obs.failed = row[3] != 0.0;
-    obs.config.assign(row.begin() + 4, row.end());
-    history.push_back(std::move(obs));
+    history.push_back({row[0], row[1], static_cast<int>(row[2])});
   }
   disabled_ = disabled;
   strikes_ = static_cast<int>(strikes);
@@ -152,11 +140,7 @@ Status Guardrail::Load(const std::string& prefix,
 }
 
 size_t Guardrail::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const Observation& obs : history_) {
-    bytes += sizeof(Observation) + obs.config.size() * sizeof(double);
-  }
-  return bytes;
+  return sizeof(*this) + history_.size() * sizeof(TrendRow);
 }
 
 }  // namespace rockhopper::core

@@ -73,9 +73,17 @@ class Guardrail {
   /// Approximate resident footprint in bytes (dominated by the history).
   size_t ApproxBytes() const;
 
+  /// One history row: the three fields the trend fit reads. An execution's
+  /// config and failed flag are consumed by Record and not kept.
+  struct TrendRow {
+    double data_size = 1.0;
+    double runtime = 0.0;
+    int iteration = 0;
+  };
+
  private:
   Options options_;
-  std::vector<Observation> history_;
+  std::vector<TrendRow> history_;
   bool disabled_ = false;
   int strikes_ = 0;
   int failure_strikes_ = 0;

@@ -24,7 +24,8 @@ SurrogateScorer::SurrogateScorer(const sparksim::ConfigSpace& space,
                                  Options options)
     : space_(space),
       baseline_(baseline),
-      embedding_(std::move(embedding)),
+      embedding_(baseline != nullptr ? std::move(embedding)
+                                     : std::vector<double>()),
       options_(options),
       gp_(WithWindow(options.gp, options.max_window)) {}
 

@@ -83,11 +83,15 @@ class SurrogateScorer : public CandidateScorer {
  public:
   using Options = SurrogateScorerOptions;
 
-  /// `baseline` and `embedding` may be null/empty for embedding-free tuning;
-  /// both must outlive the scorer when provided.
+  /// `baseline` may be null for embedding-free tuning and must outlive the
+  /// scorer when provided. `embedding` is the baseline's workload input:
+  /// the scorer keeps it only when there is a baseline to feed it to.
   SurrogateScorer(const sparksim::ConfigSpace& space,
                   const BaselineModel* baseline,
                   std::vector<double> embedding, Options options = {});
+
+  /// The embedding the baseline blend reads; empty without a baseline.
+  const std::vector<double>& embedding() const { return embedding_; }
 
   void Update(FeaturedWindow history) override;
   size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
@@ -109,7 +113,7 @@ class SurrogateScorer : public CandidateScorer {
 
   const sparksim::ConfigSpace& space_;
   const BaselineModel* baseline_;  // may be null
-  std::vector<double> embedding_;
+  std::vector<double> embedding_;  // empty when baseline_ is null
   Options options_;
   ml::GaussianProcessRegressor gp_;
   size_t history_size_ = 0;

@@ -22,7 +22,6 @@ namespace rockhopper::core {
 struct QueryState {
   std::unique_ptr<CentroidLearner> tuner;
   Guardrail guardrail;
-  std::vector<double> embedding;
   bool disabled = false;
   /// Failure-policy state: current streak, fallback runs left on the
   /// defaults, and the (exponentially growing) backoff width.

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
 
 #include "common/archive.h"
 #include "common/crc32.h"
@@ -12,7 +11,7 @@ namespace rockhopper::core {
 namespace {
 
 constexpr char kMagic[] = "rockhopper-state";
-constexpr char kVersion[] = "v1";
+constexpr char kVersion[] = "v2";
 
 }  // namespace
 
@@ -24,7 +23,6 @@ Result<std::string> EncodeQueryState(const QueryState& state) {
   ROCKHOPPER_RETURN_IF_ERROR(
       writer.PutInt("fallback_remaining", state.fallback_remaining));
   ROCKHOPPER_RETURN_IF_ERROR(writer.PutInt("backoff", state.backoff));
-  ROCKHOPPER_RETURN_IF_ERROR(writer.PutDoubles("embedding", state.embedding));
   ROCKHOPPER_RETURN_IF_ERROR(state.guardrail.Save("guardrail", &writer));
   ROCKHOPPER_RETURN_IF_ERROR(
       writer.PutBool("has_tuner", state.tuner != nullptr));
@@ -71,7 +69,6 @@ Status DecodeQueryState(const std::string& artifact, QueryState* state) {
                               reader.GetInt("consecutive_failures"));
   ROCKHOPPER_ASSIGN_OR_RETURN(fallback, reader.GetInt("fallback_remaining"));
   ROCKHOPPER_ASSIGN_OR_RETURN(backoff, reader.GetInt("backoff"));
-  ROCKHOPPER_ASSIGN_OR_RETURN(embedding, reader.GetDoubles("embedding"));
   ROCKHOPPER_ASSIGN_OR_RETURN(has_tuner, reader.GetBool("has_tuner"));
   if (has_tuner != (state->tuner != nullptr)) {
     return Status::InvalidArgument(
@@ -85,13 +82,11 @@ Status DecodeQueryState(const std::string& artifact, QueryState* state) {
   state->consecutive_failures = static_cast<int>(consecutive);
   state->fallback_remaining = static_cast<int>(fallback);
   state->backoff = static_cast<int>(backoff);
-  state->embedding = std::move(embedding);
   return Status::OK();
 }
 
 size_t ApproxQueryStateBytes(const QueryState& state) {
-  size_t bytes = sizeof(QueryState) + state.embedding.size() * sizeof(double) +
-                 state.guardrail.ApproxBytes();
+  size_t bytes = sizeof(QueryState) + state.guardrail.ApproxBytes();
   if (state.tuner != nullptr) bytes += state.tuner->ApproxBytes();
   return bytes;
 }

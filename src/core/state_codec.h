@@ -13,11 +13,13 @@ namespace rockhopper::core {
 /// cold-tier artifact format of the tiered state layer. An artifact is a
 /// header line
 ///
-///   rockhopper-state v1 <crc32-hex8> <payload-bytes>
+///   rockhopper-state v2 <crc32-hex8> <payload-bytes>
 ///
 /// followed by an ArchiveWriter payload holding the tuner (centroid, windows,
-/// GP factorization, generator position), the guardrail and the
-/// failure-policy scalars. The CRC covers the whole payload, so a torn or
+/// GP factorization, generator position), the guardrail's trend rows and
+/// the failure-policy scalars — only fields a decision reads. Artifacts are
+/// written and read by the same process, so only the current version is
+/// readable. The CRC covers the whole payload, so a torn or
 /// bit-flipped cold artifact is detected on fault-in (kDataLoss) instead of
 /// resurrecting silent garbage — the journal's torn-tail discipline applied
 /// to evicted model state.

@@ -41,14 +41,14 @@ TuningService::~TuningService() { StopStateSweeper(); }
 QueryState TuningService::BuildState(const sparksim::QueryPlan& plan,
                                      uint64_t signature, bool allow_transfer) {
   QueryState state;
-  state.embedding = ComputeEmbedding(plan, options_.embedding);
+  std::vector<double> embedding = ComputeEmbedding(plan, options_.embedding);
   state.backoff = std::max(1, options_.failure_policy.initial_backoff);
   // Every build path registers the embedding (idempotent, staged off the
   // critical path): replay and fault-in rebuilds must converge on the same
   // index content as the live run. Non-finite embeddings (corrupted plan
   // stats) are refused at the index boundary and counted.
   if (transfer_ != nullptr) {
-    (void)transfer_->Register(signature, state.embedding);
+    (void)transfer_->Register(signature, embedding);
   }
   // Cross-signature warm start on true first contact only: a brand-new
   // signature begins from the distance-weighted blend of its nearest tuned
@@ -60,10 +60,12 @@ QueryState TuningService::BuildState(const sparksim::QueryPlan& plan,
   sparksim::ConfigVector start = defaults_;
   std::vector<Observation> seeds;
   if (allow_transfer && transfer_ != nullptr) {
-    ConsultTransfer(signature, state.embedding, &start, &seeds);
+    ConsultTransfer(signature, embedding, &start, &seeds);
   }
+  // The state keeps no embedding of its own: the scorer holds it only when
+  // a baseline model reads it.
   auto scorer = std::make_unique<SurrogateScorer>(space_, baseline_,
-                                                  state.embedding,
+                                                  std::move(embedding),
                                                   options_.scorer);
   // The seed is a pure function of (service seed, signature): rebuilding a
   // state lazily, out of arrival order, or after eviction reproduces the
@@ -731,7 +733,7 @@ Result<std::string> TuningService::ExplainQuery(uint64_t signature) const {
     }
     out << "]";
   }
-  out << "; " << tuner.last_candidates().size()
+  out << "; " << tuner.last_candidate_count()
       << " candidates scored at the last proposal";
   if (state.consecutive_failures > 0 || state.fallback_remaining > 0) {
     out << "; failure streak " << state.consecutive_failures << " ("

@@ -86,7 +86,8 @@ class EpollPoller {
   explicit EpollPoller(int fd) : epfd_(fd) {}
   bool Ctl(int op, int fd, bool want_write) {
     struct epoll_event ev = {};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+    ev.events = EPOLLIN;
+    if (want_write) ev.events |= EPOLLOUT;
     ev.data.fd = fd;
     return ::epoll_ctl(epfd_, op, fd, &ev) == 0;
   }

@@ -4,6 +4,8 @@
 
 #include <ios>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/archive.h"
 #include "sparksim/synthetic.h"
@@ -54,11 +56,49 @@ TEST_F(CentroidLearningTest, ProposalsStayInNeighborhoodOfCentroid) {
   }
 }
 
+/// Records every candidate set SelectBest receives and keeps candidate 0.
+class RecordingScorer : public CandidateScorer {
+ public:
+  explicit RecordingScorer(
+      std::vector<std::vector<sparksim::ConfigVector>>* seen)
+      : seen_(seen) {}
+
+  void Update(FeaturedWindow history) override { (void)history; }
+  size_t SelectBest(const std::vector<sparksim::ConfigVector>& candidates,
+                    double data_size, double best_observed) override {
+    (void)data_size;
+    (void)best_observed;
+    seen_->push_back(candidates);
+    return 0;
+  }
+  std::string name() const override { return "recording"; }
+
+ private:
+  std::vector<std::vector<sparksim::ConfigVector>>* seen_;
+};
+
 TEST_F(CentroidLearningTest, CandidateZeroIsCentroid) {
-  auto learner = MakeLearner(1, {}, space_.Defaults(), 2);
-  (void)learner->Propose(1.0);
-  ASSERT_FALSE(learner->last_candidates().empty());
-  EXPECT_EQ(learner->last_candidates()[0], learner->centroid());
+  CentroidLearningOptions options;
+  std::vector<std::vector<sparksim::ConfigVector>> seen;
+  CentroidLearner learner(space_, space_.Defaults(),
+                          std::make_unique<RecordingScorer>(&seen), options,
+                          2);
+  EXPECT_EQ(learner.last_candidate_count(), 0u);
+  common::Rng rng(2);
+  for (int t = 0; t < 5; ++t) {
+    const sparksim::ConfigVector centroid = learner.centroid();
+    const sparksim::ConfigVector proposal = learner.Propose(1.0);
+    ASSERT_EQ(seen.size(), static_cast<size_t>(t + 1));
+    ASSERT_EQ(seen.back().size(),
+              static_cast<size_t>(options.num_candidates));
+    EXPECT_EQ(seen.back()[0], centroid) << "proposal " << t;
+    EXPECT_EQ(proposal, centroid) << "proposal " << t;
+    EXPECT_EQ(learner.last_candidate_count(),
+              static_cast<size_t>(options.num_candidates));
+    learner.Observe(proposal, 1.0,
+                    function_.Observe(proposal, 1.0,
+                                      sparksim::NoiseParams::None(), &rng));
+  }
 }
 
 TEST_F(CentroidLearningTest, ConvergesNoiselessFromBadStart) {

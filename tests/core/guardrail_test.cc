@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/archive.h"
 #include "common/rng.h"
 
 namespace rockhopper::core {
@@ -184,6 +189,61 @@ TEST(GuardrailTest, PredictNextRuntimeTracksTrend) {
   for (int i = 0; i < 10; ++i) guard.Record(Obs(i, 10.0 + 2.0 * i));
   // Linear trend: next iteration (10) should predict ~30.
   EXPECT_NEAR(guard.PredictNextRuntime(), 30.0, 1.0);
+}
+
+/// The evict/fault-in contract at the guardrail's own boundary: a guardrail
+/// rebuilt from Save/Load makes exactly the decisions the original makes,
+/// through failures, strikes and the trend fit.
+TEST(GuardrailTest, SaveLoadRoundTripKeepsDecisionsBitIdentical) {
+  Guardrail::Options options;
+  options.min_iterations = 10;
+  options.max_strikes = 30;
+  // Noisy runtimes that track a cycling input size, flat for 20 iterations
+  // and then drifting upward; a failed pair at 12-13 earns a failure strike
+  // and lone failures every 9th run reset without one.
+  common::Rng rng(5);
+  std::vector<Observation> stream;
+  for (int i = 0; i < 60; ++i) {
+    const double data_size = 1.0 + 0.1 * (i % 4);
+    double runtime = 40.0 * data_size * (1.0 + 0.05 * rng.Uniform());
+    if (i >= 20) runtime += 1.5 * (i - 20);
+    Observation obs = Obs(i, runtime, data_size);
+    obs.failed = i == 12 || i == 13 || i % 9 == 4;
+    stream.push_back(obs);
+  }
+
+  Guardrail original(options);
+  for (int i = 0; i < 40; ++i) original.Record(stream[i]);
+  ASSERT_FALSE(original.disabled());
+  ASSERT_GT(original.strikes(), 0);
+  ASSERT_GT(original.failure_strikes(), 0);
+
+  common::ArchiveWriter writer;
+  ASSERT_TRUE(original.Save("g", &writer).ok());
+  Result<common::ArchiveReader> reader =
+      common::ArchiveReader::Parse(writer.Finish());
+  ASSERT_TRUE(reader.ok());
+  Guardrail restored(options);
+  ASSERT_TRUE(restored.Load("g", *reader).ok());
+
+  const auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+  ASSERT_EQ(bits(restored.PredictNextRuntime()),
+            bits(original.PredictNextRuntime()));
+  for (int i = 40; i < 60; ++i) {
+    EXPECT_EQ(restored.Record(stream[i]), original.Record(stream[i]))
+        << "iteration " << i;
+    EXPECT_EQ(restored.strikes(), original.strikes()) << "iteration " << i;
+    EXPECT_EQ(restored.failure_strikes(), original.failure_strikes())
+        << "iteration " << i;
+    EXPECT_EQ(restored.consecutive_failures(), original.consecutive_failures())
+        << "iteration " << i;
+    EXPECT_EQ(bits(restored.PredictNextRuntime()),
+              bits(original.PredictNextRuntime()))
+        << "iteration " << i;
+  }
+  // The drift keeps striking after the restore until tuning is disabled.
+  EXPECT_TRUE(original.disabled());
+  EXPECT_TRUE(restored.disabled());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -10,11 +11,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/baseline_model.h"
 #include "core/centroid_learning.h"
 #include "core/embedding.h"
 #include "core/model_store.h"
 #include "core/scorer.h"
 #include "core/tuning_service.h"
+#include "ml/dataset.h"
+#include "sparksim/simulator.h"
 #include "support/test_temp_dir.h"
 #include "sparksim/workloads.h"
 
@@ -22,13 +27,17 @@ namespace rockhopper::core {
 namespace {
 
 /// Builds a QueryState the way TuningService::BuildState does — same shared
-/// context on both sides of an Encode/Decode round trip.
+/// context on both sides of an Encode/Decode round trip. `scorer`, when
+/// given, receives the state's surrogate (owned by its tuner).
 QueryState MakeState(const sparksim::ConfigSpace& space,
-                     const sparksim::QueryPlan& plan, uint64_t seed) {
+                     const sparksim::QueryPlan& plan, uint64_t seed,
+                     const BaselineModel* baseline = nullptr,
+                     SurrogateScorer** scorer_out = nullptr) {
   QueryState state;
-  state.embedding = ComputeEmbedding(plan, EmbeddingOptions());
   auto scorer = std::make_unique<SurrogateScorer>(
-      space, nullptr, state.embedding, SurrogateScorer::Options());
+      space, baseline, ComputeEmbedding(plan, EmbeddingOptions()),
+      SurrogateScorer::Options());
+  if (scorer_out != nullptr) *scorer_out = scorer.get();
   state.tuner = std::make_unique<CentroidLearner>(
       space, space.Defaults(), std::move(scorer), CentroidLearningOptions(),
       seed);
@@ -150,6 +159,84 @@ TEST_F(StateCodecTest, ApproxBytesNonTrivial) {
   EXPECT_GE(ApproxQueryStateBytes(state), empty_bytes);
 }
 
+/// A resident state holds only what its decisions read: without a baseline
+/// the scorer keeps no embedding, the learner no candidate set and the
+/// guardrail no configs. Keeping those puts 40 observations at 17.2 KB.
+TEST_F(StateCodecTest, FootprintHoldsOnlyWhatDecisionsRead) {
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(4);
+  SurrogateScorer* scorer = nullptr;
+  QueryState state = MakeState(space_, plan, 5, nullptr, &scorer);
+  ASSERT_NE(scorer, nullptr);
+  for (int i = 0; i < 40; ++i) {
+    Observation obs;
+    obs.config = state.tuner->Propose(1e9);
+    obs.data_size = 1e9;
+    obs.runtime = 60.0 - 0.5 * i;
+    obs.iteration = i;
+    state.tuner->Observe(obs.config, obs.data_size, obs.runtime);
+    ASSERT_TRUE(state.guardrail.Record(obs));
+  }
+  EXPECT_TRUE(scorer->embedding().empty());
+  EXPECT_LE(ApproxQueryStateBytes(state), 11'000u);
+}
+
+/// With a fitted baseline the embedding is the baseline's input: the scorer
+/// keeps it, and the baseline blend still decides SelectBest before the GP
+/// has history.
+TEST_F(StateCodecTest, BaselineScorerKeepsEmbeddingAndSteersSelectBest) {
+  BaselineModel baseline(space_);
+  sparksim::SparkSimulator::Options sim_options;
+  sim_options.noise = sparksim::NoiseParams::None();
+  sparksim::SparkSimulator sim(sim_options);
+  common::Rng rng(3);
+  ml::Dataset trace;
+  for (int q = 1; q <= 4; ++q) {
+    const sparksim::QueryPlan trace_plan = sparksim::TpchPlan(q);
+    const std::vector<double> embedding =
+        ComputeEmbedding(trace_plan, EmbeddingOptions());
+    for (int c = 0; c < 12; ++c) {
+      const sparksim::ConfigVector config = space_.Sample(&rng);
+      const sparksim::ExecutionResult r =
+          sim.ExecuteQuery(trace_plan, config, 1.0);
+      trace.Add(baseline.Features(embedding, config, r.input_bytes),
+                r.runtime_seconds);
+    }
+  }
+  ASSERT_TRUE(baseline.Fit(trace).ok());
+
+  const sparksim::QueryPlan plan = sparksim::TpchPlan(2);
+  SurrogateScorer* blended = nullptr;
+  QueryState state = MakeState(space_, plan, 6, &baseline, &blended);
+  ASSERT_NE(blended, nullptr);
+  EXPECT_EQ(blended->embedding(), ComputeEmbedding(plan, EmbeddingOptions()));
+
+  // Candidates ordered worst-first by the baseline: its pick is the last
+  // one, while a scorer with no information keeps candidate 0.
+  const double data_size = plan.LeafInputBytes(1.0);
+  const auto predicted = [&](const sparksim::ConfigVector& config) {
+    return baseline.PredictRuntime(blended->embedding(), config, data_size);
+  };
+  std::vector<sparksim::ConfigVector> candidates;
+  for (int i = 0; i < 8; ++i) candidates.push_back(space_.Sample(&rng));
+  std::sort(candidates.begin(), candidates.end(),
+            [&](const sparksim::ConfigVector& a,
+                const sparksim::ConfigVector& b) {
+              return predicted(a) > predicted(b);
+            });
+  ASSERT_GT(predicted(candidates[candidates.size() - 2]),
+            predicted(candidates.back()));
+  // A finite incumbent, so expected improvement ranks by predicted runtime.
+  const double best_observed = 1e6;
+  EXPECT_EQ(blended->SelectBest(candidates, data_size, best_observed),
+            candidates.size() - 1);
+
+  SurrogateScorer* plain = nullptr;
+  QueryState plain_state = MakeState(space_, plan, 6, nullptr, &plain);
+  ASSERT_NE(plain, nullptr);
+  EXPECT_TRUE(plain->embedding().empty());
+  EXPECT_EQ(plain->SelectBest(candidates, data_size, best_observed), 0u);
+}
+
 /// The tentpole contract: with tiering armed and a budget so small every
 /// release evicts, proposals stay bit-identical to an untiered twin — the
 /// serialize → evict → fault-in cycle is invisible to decision trajectories.
@@ -244,6 +331,56 @@ TEST_F(StateCodecTest, TornArtifactFallsBackToDeterministicReplay) {
     EXPECT_EQ(a, b) << "fallback replay diverged for signature " << signature;
   }
   EXPECT_GT(tiered.StateTierStats().faultins, stats.faultins);
+}
+
+/// The rationale text survives an evict → fault-in round trip byte for
+/// byte, the last proposal's candidate count included.
+TEST_F(StateCodecTest, ExplainQueryIdenticalAcrossEvictFaultIn) {
+  std::map<uint64_t, sparksim::QueryPlan> plans;
+  for (int q = 1; q <= 3; ++q) {
+    const sparksim::QueryPlan plan = sparksim::TpchPlan(q);
+    plans.emplace(plan.Signature(), plan);
+  }
+
+  ModelStore store(store_dir_);
+  TuningService service(space_, nullptr, FastOptions(), 17);
+  StateTierOptions tier;
+  tier.shared_budget_bytes = size_t{1} << 30;
+  tier.state_budget_fraction = 1.0;
+  tier.plan_resolver = [&plans](uint64_t signature) {
+    auto it = plans.find(signature);
+    return it == plans.end() ? nullptr : &it->second;
+  };
+  service.AttachStateTier(&store, tier);
+
+  for (int round = 0; round < 12; ++round) {
+    for (const auto& [signature, plan] : plans) {
+      const sparksim::ConfigVector c = service.OnQueryStart(plan, 1e9);
+      service.OnQueryEnd(plan, QueryEndEvent::FromRun(c, 1e9, 55.0 - round));
+    }
+  }
+  std::map<uint64_t, std::string> before;
+  for (const auto& [signature, plan] : plans) {
+    Result<std::string> text = service.ExplainQuery(signature);
+    ASSERT_TRUE(text.ok());
+    EXPECT_NE(text->find("8 candidates scored"), std::string::npos) << *text;
+    before[signature] = *text;
+  }
+  ASSERT_EQ(service.StateTierStats().evictions, 0u);
+
+  // A one-byte budget drains every resident state to its artifact.
+  service.SetSharedBudgetBytes(1);
+  const TierStats evicted = service.StateTierStats();
+  ASSERT_EQ(evicted.resident_signatures, 0u);
+  ASSERT_GE(evicted.evictions, plans.size());
+
+  for (const auto& [signature, plan] : plans) {
+    Result<std::string> text = service.ExplainQuery(signature);
+    ASSERT_TRUE(text.ok());
+    EXPECT_EQ(*text, before[signature]);
+  }
+  EXPECT_GE(service.StateTierStats().faultins,
+            evicted.faultins + plans.size());
 }
 
 }  // namespace
